@@ -49,7 +49,6 @@ from .resolution import (
     CleanSet,
     RejectedToken,
     TokenSet,
-    burned,
     filter_valid,
     resolve,
     revokes_matches,
@@ -67,7 +66,6 @@ from .tokens import (
     issue_burn,
     issue_revoke,
     issue_vouch,
-    token_id,
     verify,
 )
 
@@ -104,7 +102,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "build_graph",
-    "burned",
     "decode",
     "derive_identity",
     "enumerate_paths",
@@ -125,7 +122,6 @@ __all__ = [
     "revokes_matches",
     "save_seed",
     "temporal_filter",
-    "token_id",
     "token_scope",
     "validate_binding",
     "verify",

@@ -2,12 +2,13 @@
 
 Bundles need no signing or wrapper metadata: every token authenticates
 itself, so a bundle is just lines of compact JWTs (``.jwt`` files hold a
-single token).  Unparseable lines become diagnostics instead of aborting the
-load; adversarial bundles are expected input, not an error condition.
+single token).  Unparseable lines, non-UTF-8 ones too, become diagnostics
+instead of aborting the load; adversarial bundles are expected input.
 
 Temporal filtering is application policy layered in front of resolution: it
-can only remove tokens, never add authority, and when no clock value is given
-it does nothing at all -- the core model never consults time.
+removes only attests and vouches, so it never adds authority, and when no
+clock value is given it does nothing at all -- the core model never consults
+time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet
-from .tokens import DecodeError, decode
+from .tokens import DecodeError, TokenKind, decode
 
 
 class TrustConfigError(ValueError):
@@ -46,12 +47,14 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     """Read tokens from ``.jwt`` single-token files and JWT-per-line files.
 
     Blank lines are skipped; a line may optionally be a JSON-quoted string.
-    Exact duplicates (same wire) collapse to one token.
+    Exact duplicates (same wire) collapse to one token.  A line holding bytes
+    that are not UTF-8 becomes a ``not-utf-8`` diagnostic.
     """
     bundle = Bundle()
     for source in sources:
         path = Path(source)
-        text = path.read_text(encoding="utf-8")
+        # Bytes that are not UTF-8 become lone surrogates, which _add_line flags.
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
         if path.suffix == ".jwt":
             _add_line(bundle, str(path), 1, text.strip())
             continue
@@ -63,6 +66,9 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
 
 
 def _add_line(bundle: Bundle, source: str, lineno: int, line: str) -> None:
+    if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
+        bundle.diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-utf-8"))
+        return
     if line.startswith('"'):
         try:
             line = json.loads(line)
@@ -85,19 +91,21 @@ def _add_line(bundle: Bundle, source: str, lineno: int, line: str) -> None:
 
 
 def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
-    """Drop tokens outside their declared validity window, if a clock is given.
+    """Drop statements outside their declared validity window, if a clock is given.
 
-    Without ``now`` this is the identity function.  With it, tokens whose
-    ``exp`` has passed or whose ``nbf`` has not arrived are removed before
-    resolution; tokens carrying no temporal claims always stay.
+    Without ``now`` this is the identity function.  With it, attest and vouch
+    tokens whose ``exp`` has passed or whose ``nbf`` has not arrived are
+    removed before resolution.  Revocations and burns always stay, whatever
+    their ``exp``/``nbf``: dropping one would resurrect what it retracted.
     """
     if now is None:
         return bundle
     kept = TokenSet()
     for token in bundle.tokens:
-        if token.claims.exp is not None and token.claims.exp <= now:
-            continue
-        if token.claims.nbf is not None and token.claims.nbf > now:
+        c = token.claims
+        if c.kind in (TokenKind.ATTEST, TokenKind.VOUCH) and (
+            (c.exp is not None and c.exp <= now) or (c.nbf is not None and c.nbf > now)
+        ):
             continue
         kept.add(token)
     return Bundle(tokens=kept, diagnostics=list(bundle.diagnostics))

@@ -361,6 +361,8 @@ def cmd_evaluate(args) -> int:
             doc["witness"] = _witness_json(decision)
         else:
             doc["reason"] = decision.reason.value
+        if decision.depth_limited:
+            doc["depth_limited"] = True
         if report is not None:
             doc["explain"] = _paths_json(report)
         if args.now is not None:
@@ -375,6 +377,8 @@ def cmd_evaluate(args) -> int:
                 print(f"  {t.tid_hex} {t.claims.kind.value} iss={t.claims.iss} scope={token_scope(t)}")
         else:
             print(f"REJECT reason={decision.reason.value}")
+        if decision.depth_limited:
+            print(f"depth_limited: paths longer than --max-depth {args.max_depth} were not searched")
         if report is not None:
             for e in report.entries:
                 tids = " -> ".join(t.tid_hex for t in e.path)
@@ -463,6 +467,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         for stray in sorted(given - allowed):
             parser.error(f"issue {args.kind} does not take --{stray}")
+    if args.command == "evaluate" and (args.max_paths < 1 or args.max_depth < 0):
+        parser.error("--max-paths must be at least 1 and --max-depth at least 0")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -6,11 +6,11 @@ label surviving the scope intersections along the way.  Paths are judged one
 at a time; scopes from different paths are never merged, so authority cannot
 be assembled from fragments.
 
-Search runs backward from the subject along reverse edges, abandoning any
-branch as soon as its accumulated scope no longer contains the requirement.
-Intersection only shrinks scopes, so pruning cannot change the verdict.  The
-witness reported on accept is the shortest qualifying path, ties broken by
-the lexicographic tid sequence, making audits reproducible.
+Each request is one backward walk from the subject over the clean set's
+cached graph, marking the nodes whose unique path down carries every required
+label; that one walk yields the verdict, the reject reason and the explain
+listing.  The witness reported on accept is the shortest qualifying path,
+ties broken by the lexicographic tid sequence, making audits reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import CapabilityGraph, Scope, build_graph, parse_scope
+from .graph import CapabilityGraph, Scope, parse_scope
 from .resolution import CleanSet
 from .tokens import Token, TokenKind
 
@@ -71,6 +71,8 @@ class Decision:
     verdict: Verdict
     witness: Witness | None = None
     reason: RejectReason | None = None
+    # A REJECT whose search stopped at max_depth with longer paths unexplored.
+    depth_limited: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,34 +135,30 @@ def _chain_to_subject(graph: CapabilityGraph, start: bytes, subject_tid: bytes) 
     return tuple(path)
 
 
-def _backward_depths(
+def _walk(
     graph: CapabilityGraph,
     subject_tid: bytes,
-    required: frozenset[str] | None,
+    required: frozenset[str],
     max_depth: int,
-) -> dict[bytes, int]:
-    """Distance (in edges) from each node down to the subject.
-
-    When ``required`` is given, only vouch edges whose scope still covers it
-    are traversed -- the early-pruning walk.  Every node has one outgoing
-    edge at most, so each node appears at exactly one depth.
+) -> tuple[list[tuple[int, bytes, bool]], bool]:
+    """Backward BFS from the subject, returning ``(depth, tid, covers)`` in
+    (depth, tid) order, where ``covers`` says every vouch on the node's path
+    down covers ``required``.  Out-degree is at most one, so that path is
+    unique and each node is reached once.  The flag is True when the walk
+    stopped at ``max_depth`` while a node at that depth still had vouchers.
     """
-    depths = {subject_tid: 0}
-    frontier = [subject_tid]
+    frontier = [(0, subject_tid, True)]
+    reached = list(frontier)
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
-        next_frontier = []
-        for tid in frontier:
-            for voucher_tid in graph.reverse_edges.get(tid, ()):
-                if voucher_tid in depths:
-                    continue
-                if required is not None and not graph.edges[voucher_tid][1].covers(required):
-                    continue
-                depths[voucher_tid] = depth
-                next_frontier.append(voucher_tid)
-        frontier = next_frontier
-    return depths
+        frontier = sorted(
+            (depth, voucher_tid, covers and graph.edges[voucher_tid][1].covers(required))
+            for _, tid, covers in frontier
+            for voucher_tid in graph.reverse_edges.get(tid, ())
+        )
+        reached += frontier
+    return reached, any(tid in graph.reverse_edges for _, tid, _ in frontier)
 
 
 def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEPTH) -> Decision:
@@ -170,47 +168,36 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
     requirement always produce the same verdict, reason, and witness,
     whatever order the tokens arrived in.
     """
-    graph = build_graph(clean)
+    graph = clean.graph
     subject = graph.nodes.get(request.subject_tid)
     if subject is None:
         return Decision(verdict=Verdict.REJECT, reason=RejectReason.SUBJECT_NOT_IN_CLEAN_SET)
 
-    root_identities = {r.identity for r in request.roots}
-    if not any(iss in root_identities for iss in graph.by_issuer):
-        return Decision(verdict=Verdict.REJECT, reason=RejectReason.NO_ROOTED_PATH)
-
-    qualifying = [r for r in request.roots if r.root_scope.covers(request.required)]
-    accept_depths: dict[bytes, int] = {}
-    if qualifying and token_scope(subject).covers(request.required):
-        accept_depths = _backward_depths(graph, subject.tid, request.required, max_depth)
-
-    qualifying_identities = {r.identity for r in qualifying}
-    starts = [
-        tid
-        for tid, d in accept_depths.items()
-        if graph.nodes[tid].claims.iss in qualifying_identities
-    ]
-    if starts:
-        # Shortest path first; among equally short paths the tid sequences
-        # differ at the start node, so smallest start tid is the lex minimum.
-        start = min(starts, key=lambda tid: (accept_depths[tid], tid))
-        path = _chain_to_subject(graph, start, subject.tid)
-        root = next(
-            r
-            for r in qualifying
-            if r.identity == graph.nodes[start].claims.iss
-        )
-        return Decision(
-            verdict=Verdict.ACCEPT,
-            witness=Witness(path=path, effective_scope=path_scope(root, path), root=root),
-        )
+    reached, depth_limited = _walk(graph, subject.tid, request.required, max_depth)
+    if token_scope(subject).covers(request.required):
+        # Reversed, so the first qualifying root in configuration order wins.
+        qualifying = {
+            r.identity: r for r in reversed(request.roots) if r.root_scope.covers(request.required)
+        }
+        # Nodes arrive shortest path first; among equally short paths the tid
+        # sequences differ at the start node, so the first hit is the lex minimum.
+        for _, tid, covers in reached:
+            root = qualifying.get(graph.nodes[tid].claims.iss) if covers else None
+            if root is not None:
+                path = _chain_to_subject(graph, tid, subject.tid)
+                return Decision(
+                    verdict=Verdict.ACCEPT,
+                    witness=Witness(path=path, effective_scope=path_scope(root, path), root=root),
+                )
 
     # No qualifying path: distinguish "no rooted path at all" from "rooted
     # paths exist but none carries the required scope".
-    plain_depths = _backward_depths(graph, subject.tid, None, max_depth)
-    if any(graph.nodes[tid].claims.iss in root_identities for tid in plain_depths):
-        return Decision(verdict=Verdict.REJECT, reason=RejectReason.SCOPE_INSUFFICIENT)
-    return Decision(verdict=Verdict.REJECT, reason=RejectReason.NO_ROOTED_PATH)
+    root_identities = {r.identity for r in request.roots}
+    if any(graph.nodes[tid].claims.iss in root_identities for _, tid, _ in reached):
+        reason = RejectReason.SCOPE_INSUFFICIENT
+    else:
+        reason = RejectReason.NO_ROOTED_PATH
+    return Decision(verdict=Verdict.REJECT, reason=reason, depth_limited=depth_limited)
 
 
 def enumerate_paths(
@@ -227,13 +214,13 @@ def enumerate_paths(
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    graph = build_graph(clean)
+    graph = clean.graph
     if request.subject_tid not in graph.nodes:
         return PathReport(entries=(), truncated=False)
-    depths = _backward_depths(graph, request.subject_tid, None, max_depth)
+    reached, _ = _walk(graph, request.subject_tid, request.required, max_depth)
     entries: list[PathEntry] = []
     truncated = False
-    for tid in sorted(depths, key=lambda t: (depths[t], t)):
+    for _, tid, _ in reached:
         issuer = graph.nodes[tid].claims.iss
         matching = [r for r in request.roots if r.identity == issuer]
         if not matching:

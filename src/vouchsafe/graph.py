@@ -13,9 +13,12 @@ refuses to return a cyclic graph, since it must terminate on arbitrary bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .resolution import CleanSet
 from .tokens import Token, TokenKind
+
+if TYPE_CHECKING:
+    from .resolution import CleanSet
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,6 @@ class CapabilityGraph:
     nodes: dict[bytes, Token] = field(default_factory=dict)
     edges: dict[bytes, tuple[bytes, Scope]] = field(default_factory=dict)
     reverse_edges: dict[bytes, list[bytes]] = field(default_factory=dict)
-    by_issuer: dict[str, set[bytes]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
     def dump(self) -> str:
@@ -135,7 +137,6 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     for token in clean.tokens:
         if token.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH):
             graph.nodes[token.tid] = token
-            graph.by_issuer.setdefault(token.claims.iss, set()).add(token.tid)
 
     for tid, token in graph.nodes.items():
         if token.claims.kind is not TokenKind.VOUCH:

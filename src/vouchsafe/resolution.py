@@ -17,8 +17,10 @@ Adding control tokens can only shrink the result; nothing is ever reinstated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
+from .graph import CapabilityGraph, build_graph
 from .tokens import Token, TokenKind, ValidityReport, verify
 
 
@@ -84,11 +86,19 @@ class CleanSet:
     ``burned_identities`` lists every issuer named by a surviving-kind burn;
     ``revoked_statements`` maps each omitted (issuer, jti) statement to the
     tid of one matching revocation (smallest tid when several match).
+
+    Its capability graph is built once, lazily, on first use of
+    :attr:`graph`, and every request against this set reuses it; so a clean
+    set must not be mutated after :func:`resolve` returns it.
     """
 
     tokens: TokenSet
     burned_identities: frozenset[str]
     revoked_statements: dict[tuple[str, str], bytes] = field(default_factory=dict)
+
+    @cached_property
+    def graph(self) -> CapabilityGraph:
+        return build_graph(self)
 
 
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
@@ -105,16 +115,6 @@ def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
         else:
             rejected.append(RejectedToken(token=token, report=report))
     return valid, rejected
-
-
-def burned(token: Token, valid: TokenSet) -> bool:
-    """True iff a valid burn in the set names this non-burn token's issuer."""
-    if token.claims.kind is TokenKind.BURN:
-        return False
-    return any(
-        b.claims.kind is TokenKind.BURN and b.claims.burns == token.claims.iss
-        for b in valid
-    )
 
 
 def revokes_matches(revocation: Token, token: Token) -> bool:

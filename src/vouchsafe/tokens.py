@@ -251,11 +251,6 @@ def decode(wire: str) -> Token:
     )
 
 
-def token_id(token: Token) -> bytes:
-    """SHA-256 of the exact wire text; pure function of the wire."""
-    return hashlib.sha256(token.wire.encode("ascii")).digest()
-
-
 # ---------------------------------------------------------------------------
 # Issuance
 # ---------------------------------------------------------------------------

@@ -23,6 +23,19 @@ def mallory():
     return kp, vs.derive_identity(kp.public, "mallory")
 
 
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Records each clean set whose capability graph gets built."""
+    import vouchsafe.resolution
+
+    builds = []
+    real = vouchsafe.resolution.build_graph
+    monkeypatch.setattr(
+        vouchsafe.resolution, "build_graph", lambda clean: builds.append(clean) or real(clean)
+    )
+    return builds
+
+
 def write_bundle(path, tokens):
     path.write_text("".join(t.wire + "\n" for t in tokens), encoding="utf-8")
     return path

@@ -32,7 +32,8 @@ def random_purpose(rng: random.Random) -> str | None:
     return " ".join(label for label in LABELS if rng.random() < 0.5)
 
 
-def _craft(rng: random.Random, issuer_urn: str, kind: str, **claims) -> vs.Token:
+def craft(rng: random.Random, issuer_urn: str, kind: str, **claims) -> vs.Token:
+    """Hand-sign a pool identity's token with arbitrary claims."""
     seed = SEED_BY_URN[issuer_urn]
     label = issuer_urn.split(":", 2)[2].rsplit(".", 1)[0]
     jti = claims.pop("jti", str(uuid.UUID(int=rng.getrandbits(128), version=4)))
@@ -69,7 +70,7 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
         elif move == "forged_vouch":
             victim = rng.choice(delegable)
             tokens.append(
-                _craft(
+                craft(
                     rng,
                     ident.urn,
                     oracles.VOUCH,
@@ -82,7 +83,7 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
             original = rng.choice(delegable)
             if original.claims.kind is vs.TokenKind.ATTEST:
                 tokens.append(
-                    _craft(
+                    craft(
                         rng,
                         original.claims.iss,
                         oracles.ATTEST,
@@ -94,7 +95,7 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
             target_token = rng.choice(delegable)
             triple = target_token.subject_triple()
             tokens.append(
-                _craft(
+                craft(
                     rng,
                     target_token.claims.iss,
                     oracles.REVOKE,
@@ -108,6 +109,20 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
     # Random drops leave dangling vouches and revocations of absent statements.
     kept = [t for t in tokens if rng.random() > 0.12]
     return kept if kept else [rng.choice(tokens)]
+
+
+def random_delegation_tree(rng: random.Random, size: int = 16) -> list[vs.Token]:
+    """Attests and vouches only, each vouch endorsing one of the three latest
+    statements, so chains run deep and scopes narrow along them."""
+    tokens: list[vs.Token] = []
+    for _ in range(size):
+        kp, ident = POOL[rng.randrange(len(POOL))]
+        if tokens and rng.random() < 0.8:
+            subject = rng.choice(tokens[-3:])
+            tokens.append(vs.issue_vouch(kp, ident, subject, purpose=random_purpose(rng)))
+        else:
+            tokens.append(vs.issue_attest(kp, ident, purpose=random_purpose(rng)))
+    return tokens
 
 
 def random_roots(rng: random.Random) -> list[tuple[str, frozenset | None]]:

@@ -138,19 +138,15 @@ def _covers(scope, required: frozenset) -> bool:
     return scope is None or required <= scope
 
 
-def oracle_accepts(
-    wires: list[str],
-    subject_tid_hex: str,
-    roots: list[tuple[str, frozenset | None]],
-    required: frozenset,
-) -> bool:
-    """Brute-force accept decision over a valid token set.
+def _clean_paths(wires: list[str], subject_tid_hex: str):
+    """Payloads by tid hex and every simple path ending at the subject.
 
     Applies the omission formula, derives nodes and edges from the wire data,
-    enumerates every simple path terminating at the subject, and checks the
-    per-path scope intersection for each root independently.
+    and enumerates paths backward by DFS; each path is a list of tid hexes,
+    subject last.  None when the subject is not a clean attest or vouch.
     """
-    clean = [w for w in wires if tid_hex_of(w) in oracle_clean_tids(wires)]
+    clean_tids = oracle_clean_tids(wires)
+    clean = [w for w in wires if tid_hex_of(w) in clean_tids]
     payloads = {tid_hex_of(w): payload_of(w) for w in clean}
     by_tid = {
         tid_hex_of(w): w
@@ -158,7 +154,7 @@ def oracle_accepts(
         if payload_of(w)["kind"] in (ATTEST, VOUCH)
     }
     if subject_tid_hex not in by_tid:
-        return False
+        return None
 
     edges: dict[str, list[str]] = {t: [] for t in by_tid}
     for t in by_tid:
@@ -174,7 +170,6 @@ def oracle_accepts(
             ):
                 edges[t].append(u)
 
-    # Every simple path ending at the subject, found backward by DFS.
     paths: list[list[str]] = []
 
     def extend(path: list[str]) -> None:
@@ -185,15 +180,78 @@ def oracle_accepts(
                 extend([v] + path)
 
     extend([subject_tid_hex])
+    return payloads, paths
 
+
+def _path_scope(payloads: dict, path: list[str]):
+    """Intersection of the purpose of every statement on the path."""
+    scope = _parse_purpose(payloads[path[-1]].get("purpose"))
+    for v in path[:-1]:
+        scope = _intersect(scope, _parse_purpose(payloads[v].get("purpose")))
+    return scope
+
+
+def oracle_accepts(
+    wires: list[str],
+    subject_tid_hex: str,
+    roots: list[tuple[str, frozenset | None]],
+    required: frozenset,
+) -> bool:
+    """Brute-force accept decision over a valid token set.
+
+    Enumerates every simple path terminating at the subject and checks the
+    per-path scope intersection for each root independently.
+    """
+    found = _clean_paths(wires, subject_tid_hex)
+    if found is None:
+        return False
+    payloads, paths = found
     for path in paths:
         head_iss = payloads[path[0]]["iss"]
-        scope = _parse_purpose(payloads[path[-1]].get("purpose"))
-        for v in path[:-1]:
-            scope = _intersect(scope, _parse_purpose(payloads[v].get("purpose")))
+        scope = _path_scope(payloads, path)
         for identity, root_scope in roots:
             if identity != head_iss:
                 continue
             if _covers(_intersect(root_scope, scope), required):
                 return True
     return False
+
+
+def oracle_decision(
+    wires: list[str],
+    subject_tid_hex: str,
+    roots: list[tuple[str, frozenset | None]],
+    required: frozenset,
+    max_depth: int,
+) -> dict:
+    """Brute-force verdict, reason and witness over a valid token set.
+
+    Only paths of at most ``max_depth`` edges count.  The witness is the
+    accepting path that is shortest, then smallest by tid sequence, paired
+    with the first root in configuration order that accepts it.  A reject is
+    SCOPE_INSUFFICIENT when some counted path starts at any root's identity,
+    else NO_ROOTED_PATH; it is ``depth_limited`` when a longer path exists.
+    """
+    found = _clean_paths(wires, subject_tid_hex)
+    if found is None:
+        return {"verdict": "REJECT", "reason": "SUBJECT_NOT_IN_CLEAN_SET", "depth_limited": False}
+    payloads, paths = found
+    counted = [path for path in paths if len(path) - 1 <= max_depth]
+    accepting = [
+        (len(path), path, index)
+        for path in counted
+        for index, (identity, root_scope) in enumerate(roots)
+        if identity == payloads[path[0]]["iss"]
+        and _covers(_intersect(root_scope, _path_scope(payloads, path)), required)
+    ]
+    if accepting:
+        _, path, index = min(accepting)
+        scope = _intersect(roots[index][1], _path_scope(payloads, path))
+        return {"verdict": "ACCEPT", "path": path, "root": index, "effective_scope": scope}
+    identities = {identity for identity, _ in roots}
+    rooted = any(payloads[path[0]]["iss"] in identities for path in counted)
+    return {
+        "verdict": "REJECT",
+        "reason": "SCOPE_INSUFFICIENT" if rooted else "NO_ROOTED_PATH",
+        "depth_limited": len(counted) < len(paths),
+    }

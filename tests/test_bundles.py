@@ -3,11 +3,17 @@ import random
 
 import pytest
 
+import oracles
 from vouchsafe import (
+    Bundle,
     Request,
+    TokenKind,
     TokenSet,
     TrustConfigError,
+    TrustedPrincipal,
+    UNCONSTRAINED,
     Verdict,
+    decode,
     evaluate,
     filter_valid,
     issue_attest,
@@ -62,6 +68,16 @@ class TestLoadBundle:
         path = tmp_path / "q.jsonl"
         path.write_text(json.dumps(t.wire) + "\n")
         assert len(load_bundle([path]).tokens) == 1
+
+    def test_non_utf8_line_becomes_diagnostic(self, alice, tmp_path):
+        kp, ident = alice
+        good = [issue_attest(kp, ident).wire.encode() for _ in range(2)]
+        path = tmp_path / "b.jsonl"
+        path.write_bytes(good[0] + b"\n\xff\xfe" + good[1][:10] + b"\n" + good[1] + b"\nnot a token\n")
+        bundle = load_bundle([path])
+        assert len(bundle.tokens) == 2
+        assert [(d.line, d.code) for d in bundle.diagnostics][0] == (2, "not-utf-8")
+        assert [d.line for d in bundle.diagnostics] == [2, 4]
 
     def test_unreadable_source_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -130,6 +146,76 @@ class TestTemporalFilter:
             unfiltered_verdict = verdict_of(bundle)
             if filtered_verdict is Verdict.ACCEPT:
                 assert unfiltered_verdict is Verdict.ACCEPT
+
+
+def timed_token_set(rng):
+    """Valid statements and hand-signed control tokens, each with a random
+    ``nbf``/``exp`` window, so filtering can drop either kind."""
+    tokens = []
+    for _ in range(rng.randint(2, 10)):
+        kp, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+        window = {name: rng.choice([None, 50, 150]) for name in ("nbf", "exp")}
+        signed_window = {name: t for name, t in window.items() if t is not None}
+        delegable = [t for t in tokens if t.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH)]
+        move = rng.choice(["attest", "vouch", "vouch", "revoke", "burn"]) if delegable else "attest"
+        if move == "attest":
+            tokens.append(issue_attest(kp, ident, purpose=generators.random_purpose(rng), **window))
+        elif move == "vouch":
+            subject = rng.choice(delegable)
+            tokens.append(issue_vouch(kp, ident, subject, purpose=generators.random_purpose(rng), **window))
+        elif move == "revoke":
+            target = rng.choice(delegable)
+            sub, vch_iss, vch_sum = target.subject_triple()
+            tokens.append(generators.craft(
+                rng, target.claims.iss, oracles.REVOKE, sub=sub, vch_iss=vch_iss, vch_sum=vch_sum,
+                revokes=target.claims.jti, **signed_window,
+            ))
+        else:
+            tokens.append(generators.craft(rng, ident.urn, oracles.BURN, burns=ident.urn, **signed_window))
+    return tokens
+
+
+class TestTemporalControlTokens:
+    def test_filtering_never_turns_reject_into_accept(self):
+        rng = random.Random(63)
+        filtered_cases = 0
+        for _ in range(150):
+            tokens = timed_token_set(rng)
+            valid, rejected = filter_valid(TokenSet(tokens))
+            assert not rejected
+            bundle = Bundle(tokens=valid)
+            for _ in range(3):
+                request = Request(
+                    subject_tid=rng.choice(tokens).tid,
+                    required=generators.random_required(rng),
+                    roots=generators.as_principals(generators.random_roots(rng)),
+                )
+                if evaluate(resolve(bundle.tokens), request).verdict is Verdict.ACCEPT:
+                    continue
+                for now in (0, 50, 100, 150, 200):
+                    filtered = temporal_filter(bundle, now)
+                    assert evaluate(resolve(filtered.tokens), request).verdict is Verdict.REJECT
+                    filtered_cases += len(filtered.tokens) < len(bundle.tokens)
+        assert filtered_cases > 0  # filtering did drop tokens under rejected requests
+
+    def test_expired_revocation_still_revokes(self, alice, root):
+        kp_a, ident_a = alice
+        kp_r, ident_r = root
+        a = issue_attest(kp_a, ident_a)
+        v = issue_vouch(kp_r, ident_r, a, purpose="read")
+        sub, vch_iss, vch_sum = v.subject_triple()
+        seed = b"\x22" * 32  # the root fixture's key
+        revocation = decode(oracles.craft_wire(seed, oracles.standard_claims(
+            seed, "root", oracles.REVOKE, "revocation-1", sub=sub, vch_iss=vch_iss,
+            vch_sum=vch_sum, revokes=v.claims.jti, exp=100,
+        )))
+        valid, rejected = filter_valid(TokenSet([a, v, revocation]))
+        assert not rejected
+        bundle = Bundle(tokens=valid)
+        request = Request(a.tid, frozenset({"read"}), (TrustedPrincipal(ident_r.urn, UNCONSTRAINED),))
+        for now in (None, 50, 200):
+            filtered = temporal_filter(bundle, now)
+            assert evaluate(resolve(filtered.tokens), request).verdict is Verdict.REJECT
 
 
 class TestTrustConfig:

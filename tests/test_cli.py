@@ -199,6 +199,18 @@ class TestResolve:
         assert {e["tid"] for e in doc["surviving"]} == {t.tid_hex for t in clean.tokens}
 
 
+    def test_non_utf8_line_is_one_diagnostic(self, keyfiles, tmp_path, run):
+        alice_seed, _ = keyfiles["alice"]
+        _, a_out, _ = run("issue", "attest", "--key", str(alice_seed), "--label", "alice")
+        bundle = tmp_path / "b.jsonl"
+        bundle.write_bytes(b"\xff\n" + a_out.encode())
+        code, stdout, _ = run("resolve", str(bundle), "--json")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert len(doc["surviving"]) == 1
+        assert doc["diagnostics"] == [{"source": str(bundle), "line": 1, "code": "not-utf-8"}]
+
+
 class TestEvaluate:
     @pytest.fixture
     def chain_setup(self, keyfiles, tmp_path, run):
@@ -296,6 +308,34 @@ class TestEvaluate:
         assert doc["witness"]["effective_scope"] == sorted(
             decision.witness.effective_scope.labels
         )
+
+    @pytest.mark.parametrize("flag,value", [("--max-paths", "0"), ("--max-depth", "-1")])
+    def test_out_of_range_limit_exits_2(self, chain_setup, flag, value):
+        bundle, trust, a_path, _ = chain_setup
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", bundle, "--trust", trust, "--subject", a_path, "--explain", flag, value])
+        assert exc.value.code == 2
+
+    def test_depth_limited_reported_only_when_true(self, chain_setup, run):
+        bundle, trust, a_path, _ = chain_setup
+        code, stdout, _ = run("evaluate", bundle, "--trust", trust, "--subject", a_path,
+                              "--max-depth", "0", "--json")
+        assert code == 1
+        doc = json.loads(stdout)
+        assert (doc["reason"], doc["depth_limited"]) == ("NO_ROOTED_PATH", True)
+        code, stdout, _ = run("evaluate", bundle, "--trust", trust, "--subject", a_path,
+                              "--max-depth", "0")
+        assert code == 1 and "depth_limited" in stdout
+        code, stdout, _ = run("evaluate", bundle, "--trust", trust, "--subject", a_path,
+                              "--require", "write", "--json")
+        assert code == 1 and "depth_limited" not in json.loads(stdout)
+
+    def test_explain_builds_graph_once(self, chain_setup, run, graph_builds):
+        bundle, trust, a_path, _ = chain_setup
+        code, _, _ = run("evaluate", bundle, "--trust", trust, "--subject", a_path,
+                         "--require", "read", "--explain", "--json")
+        assert code == 0
+        assert len(graph_builds) == 1
 
     def test_unreadable_bundle_exits_3(self, chain_setup, tmp_path, run):
         _, trust, a_path, _ = chain_setup

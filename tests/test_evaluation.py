@@ -214,6 +214,56 @@ class TestEvaluate:
         assert shallow.verdict is Verdict.REJECT
         assert shallow.reason is RejectReason.NO_ROOTED_PATH
 
+    def test_depth_limited_chain(self, alice, root, mallory):
+        # A 70-edge chain rooted only at its head: the default depth cannot
+        # reach the root and says so; a deep enough search accepts.
+        kp_a, ident_a = alice
+        kp_r, ident_r = root
+        kp_m, ident_m = mallory
+        chain = [issue_attest(kp_a, ident_a)]
+        for _ in range(69):
+            chain.append(issue_vouch(kp_m, ident_m, chain[-1]))
+        chain.append(issue_vouch(kp_r, ident_r, chain[-1]))
+        clean = clean_of(chain)
+        request = req(chain[0], set(), TrustedPrincipal(ident_r.urn, UNCONSTRAINED))
+        bounded = evaluate(clean, request)
+        assert bounded.verdict is Verdict.REJECT
+        assert bounded.reason is RejectReason.NO_ROOTED_PATH
+        assert bounded.depth_limited
+        deep = evaluate(clean, request, max_depth=100)
+        assert deep.verdict is Verdict.ACCEPT
+        assert len(deep.witness.path) == 71
+        # Cut exactly at the head, where no voucher is left unexplored.
+        narrow = req(chain[0], {"read"}, TrustedPrincipal(ident_r.urn, Scope.of("write")))
+        exact = evaluate(clean, narrow, max_depth=70)
+        assert exact.reason is RejectReason.SCOPE_INSUFFICIENT
+        assert not exact.depth_limited
+
+    def test_reason_and_witness_match_oracle(self):
+        rng = random.Random(46)
+        for i in range(2000):
+            if i % 8 < 4:
+                tokens = generators.random_token_set(rng)
+            else:
+                tokens = generators.random_delegation_tree(rng)
+            roots_raw = generators.random_roots(rng)
+            roots = generators.as_principals(roots_raw)
+            required = generators.random_required(rng)
+            subject_tid = generators.random_subject_tid(rng, tokens)
+            max_depth = (0, 1, 2, 64)[i % 4]
+            d = evaluate(clean_of(tokens), Request(subject_tid, required, roots), max_depth=max_depth)
+            want = oracles.oracle_decision(
+                [t.wire for t in tokens], subject_tid.hex(), roots_raw, required, max_depth
+            )
+            assert d.verdict.value == want["verdict"]
+            if d.verdict is Verdict.ACCEPT:
+                assert [t.tid_hex for t in d.witness.path] == want["path"]
+                assert d.witness.root == roots[want["root"]]
+                assert d.witness.effective_scope.labels == want["effective_scope"]
+            else:
+                assert d.reason.value == want["reason"]
+                assert d.depth_limited == want["depth_limited"]
+
     def test_witness_soundness(self):
         rng = random.Random(41)
         for _ in range(60):
@@ -238,6 +288,23 @@ class TestEvaluate:
                 d = evaluate(clean_of(shuffled), req(subject, required, *generators.as_principals(roots)))
                 assert d.verdict == base.verdict
                 assert [t.tid for t in d.witness.path] == [t.tid for t in base.witness.path]
+
+
+class TestGraphReuse:
+    def test_one_graph_build_per_clean_set(self, alice, root, graph_builds):
+        kp_a, ident_a = alice
+        kp_r, ident_r = root
+        a = issue_attest(kp_a, ident_a)
+        v = issue_vouch(kp_r, ident_r, a, purpose="read")
+        clean = clean_of([a, v])
+        principal = TrustedPrincipal(ident_r.urn, UNCONSTRAINED)
+        verdicts = [
+            evaluate(clean, req(a, required, principal)).verdict
+            for required in ({"read"}, {"write"}, set()) * 3
+        ]
+        assert verdicts == [Verdict.ACCEPT, Verdict.REJECT, Verdict.ACCEPT] * 3
+        assert len(enumerate_paths(clean, req(a, set(), principal)).entries) == 1
+        assert len(graph_builds) == 1 and graph_builds[0] is clean
 
 
 class TestAttenuation:

@@ -3,7 +3,6 @@ import random
 import oracles
 from vouchsafe import (
     TokenSet,
-    burned,
     decode,
     filter_valid,
     issue_attest,
@@ -72,21 +71,19 @@ class TestBurnPredicate:
         kp, ident = alice
         a = issue_attest(kp, ident)
         b = issue_burn(kp, ident)
-        valid = TokenSet([a, b])
-        assert burned(a, valid)
+        assert a.tid not in resolve(TokenSet([a, b])).tokens
 
     def test_burn_token_itself_immune(self, alice):
         kp, ident = alice
         b1, b2 = issue_burn(kp, ident), issue_burn(kp, ident)
-        valid = TokenSet([b1, b2])
-        assert not burned(b1, valid) and not burned(b2, valid)
+        clean = resolve(TokenSet([b1, b2]))
+        assert b1.tid in clean.tokens and b2.tid in clean.tokens
 
     def test_burn_by_other_identity_no_effect(self, alice, mallory):
         kp_a, ident_a = alice
         kp_m, ident_m = mallory
         a = issue_attest(kp_a, ident_a)
-        valid = TokenSet([a, issue_burn(kp_m, ident_m)])
-        assert not burned(a, valid)
+        assert a.tid in resolve(TokenSet([a, issue_burn(kp_m, ident_m)])).tokens
 
 
 class TestRevokesMatches:
