@@ -120,8 +120,12 @@ def load_trust_config(source: str | Path) -> list[TrustedPrincipal]:
     """
     try:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TrustConfigError(f"{source}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TrustConfigError(f"{source}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TrustConfigError(f"{source}: JSON nests too deeply") from None
     if not isinstance(data, list):
         raise TrustConfigError(f"{source}: expected a JSON array of roots")
     roots: list[TrustedPrincipal] = []

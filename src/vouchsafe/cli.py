@@ -2,7 +2,9 @@
 and authorization queries.
 
 Exit codes are script-friendly: 0 success (or ACCEPT), 1 REJECT from
-``evaluate``, 2 usage or configuration error, 3 input data error.  Machine
+``evaluate``, 2 usage or configuration error, 3 input data error.  Any
+unexpected failure also exits 3, with one ``error:`` line on stderr and no
+traceback, so exit 1 always means REJECT.  Machine
 output (``--json``) is versioned with ``"schema": "zicg/1"`` and is
 deterministic: collections are sorted, and nothing time-dependent appears
 unless ``--now`` was given, in which case it is echoed back.
@@ -44,7 +46,6 @@ from .tokens import (
     issue_burn,
     issue_revoke,
     issue_vouch,
-    verify,
 )
 
 SCHEMA = "zicg/1"
@@ -76,6 +77,8 @@ def _read_token_file(path: str) -> Token:
         text = Path(path).read_text(encoding="utf-8").strip()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from exc
     if not text:
         raise DataError(f"{path}: empty token file")
     try:
@@ -175,7 +178,7 @@ def _claims_json(token: Token) -> dict:
 
 def cmd_inspect(args) -> int:
     token = _read_token_file(args.token)
-    report = verify(token)
+    report = token.validity
     if args.json:
         _emit_json(
             {
@@ -476,6 +479,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except Exception as exc:
+        # A crash must never exit 1, which scripts read as REJECT.
+        detail = " ".join(str(exc).split())
+        print(f"error: unexpected {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import Token, TokenKind, ValidityReport, verify
+from .tokens import Token, TokenKind, ValidityReport
 
 
 class TokenSet:
@@ -105,11 +105,16 @@ def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
     """Keep exactly the tokens whose validity report is all-ok.
 
     Invalid tokens come back as diagnostics; they never influence state.
+    Each report is the token's cached :attr:`~vouchsafe.tokens.Token.validity`,
+    so a Token is verified once however often it is filtered; and since
+    :func:`~vouchsafe.tokens.decode` returns the same Token for the exact same
+    wire while a caller still holds it, re-filtering a grown bundle verifies
+    only its new wires.
     """
     valid = TokenSet()
     rejected: list[RejectedToken] = []
     for token in tokens:
-        report = verify(token)
+        report = token.validity
         if report.ok:
             valid.add(token)
         else:

@@ -17,6 +17,9 @@ the received bytes, so no canonical JSON form is needed anywhere.
 
 ``decode`` checks structural shape only; ``verify`` judges signature validity,
 identity binding, and kind schema, reporting all failures rather than raising.
+Both are pure functions of the wire, so ``decode`` hands back the Token it
+already built for the same wire while that Token is alive, and each Token
+keeps its own verify report (:attr:`Token.validity`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import hashlib
 import json
 import re
 import uuid
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from cryptography.exceptions import InvalidSignature
@@ -85,8 +90,9 @@ class IssueError(TokenError):
 class Claims:
     """Decoded payload claims.
 
-    ``extra`` holds any additional claims verbatim; they are signed and
-    hash-covered but ignored by state resolution and evaluation.
+    ``extra`` holds any additional claims verbatim, as a read-only mapping;
+    they are signed and hash-covered but ignored by state resolution and
+    evaluation.
     """
 
     iss: str
@@ -111,7 +117,8 @@ class Token:
 
     ``wire`` is the exact compact serialization as transmitted; ``tid`` is
     SHA-256 over that text.  Claims are a read-only view of the payload
-    segment -- mutating anything here cannot change what was signed.
+    segment and ``header`` a read-only mapping -- mutating anything here
+    cannot change what was signed, nor the cached :attr:`validity`.
     """
 
     wire: str
@@ -119,10 +126,21 @@ class Token:
     claims: Claims
     sig: bytes
     tid: bytes
+    # A declared field, not functools.cached_property: writing the instance
+    # __dict__ directly makes CPython (3.11+) slow down every later attribute
+    # read on that Token, and resolution and evaluation read them a lot.
+    _validity: ValidityReport | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tid_hex(self) -> str:
         return self.tid.hex()
+
+    @property
+    def validity(self) -> ValidityReport:
+        """This token's :func:`verify` report, computed on first use and kept."""
+        if self._validity is None:
+            object.__setattr__(self, "_validity", verify(self))
+        return self._validity
 
     def subject_triple(self) -> tuple[str, str, str] | None:
         """The (jti, issuer, content hash) reference this statement is about.
@@ -187,9 +205,19 @@ def _decode_json_object(data: bytes, what: str) -> dict:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecodeError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DecodeError(f"{what} JSON nests too deeply") from None
     if not isinstance(obj, dict):
         raise DecodeError(f"{what} is not a JSON object")
     return obj
+
+
+# Shared by every token without extra claims: one less object per decode.
+_NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
+
+# Every Token decode has built and some caller still holds, by exact wire.
+# Weak values: an entry goes when the last reference to its Token does.
+_live: weakref.WeakValueDictionary[str, Token] = weakref.WeakValueDictionary()
 
 
 def decode(wire: str) -> Token:
@@ -199,9 +227,19 @@ def decode(wire: str) -> Token:
     header and payload, known ``kind``, universal claims present with the
     right types.  No signature, binding, or kind-schema judgment is made
     (see :func:`verify`).
+
+    While a Token built from this exact wire (same characters) is still
+    referenced anywhere in the process, that same Token is returned, along
+    with the verify report it may already carry; so re-reading a grown
+    bundle while the previous load is held decodes and verifies only the new
+    lines.  Nothing is retained that the caller has dropped, and a one-shot
+    process such as the CLI sees every wire once and gains nothing.
     """
     if not isinstance(wire, str) or not wire:
         raise DecodeError("empty wire text")
+    token = _live.get(wire)
+    if token is not None:
+        return token
     parts = wire.split(".")
     if len(parts) != 3:
         raise DecodeError(f"expected 3 dot-separated segments, got {len(parts)}")
@@ -226,6 +264,7 @@ def decode(wire: str) -> Token:
         if name not in payload:
             raise DecodeError(f"missing claim {name!r}")
 
+    extra = {k: v for k, v in payload.items() if k not in RESERVED_CLAIMS}
     claims = Claims(
         iss=payload["iss"],
         iss_key=payload["iss_key"],
@@ -240,15 +279,17 @@ def decode(wire: str) -> Token:
         iat=payload.get("iat"),
         nbf=payload.get("nbf"),
         exp=payload.get("exp"),
-        extra={k: v for k, v in payload.items() if k not in RESERVED_CLAIMS},
+        extra=MappingProxyType(extra) if extra else _NO_EXTRA,
     )
-    return Token(
+    token = Token(
         wire=wire,
-        header=header,
+        header=MappingProxyType(header),
         claims=claims,
         sig=sig,
         tid=hashlib.sha256(wire.encode("ascii")).digest(),
     )
+    _live[wire] = token
+    return token
 
 
 # ---------------------------------------------------------------------------

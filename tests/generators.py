@@ -111,6 +111,45 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
     return kept if kept else [rng.choice(tokens)]
 
 
+def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
+    """Wires that all decode but not all verify: honest attests and vouches
+    mixed with bad signatures, keys foreign to the claimed issuer, and bad
+    kind schemas."""
+    honest: list[vs.Token] = []
+    wires: list[str] = []
+    for _ in range(size):
+        kp, ident = POOL[rng.randrange(len(POOL))]
+        seed = SEED_BY_URN[ident.urn]
+        label = ident.urn.split(":", 2)[2].rsplit(".", 1)[0]
+        other = _POOL_SEEDS[rng.randrange(len(_POOL_SEEDS))]
+        jti = str(uuid.UUID(int=rng.getrandbits(128), version=4))
+        move = rng.choice(["honest", "honest", "bad_sig", "foreign_key", "bad_schema"])
+        if move == "honest":
+            if honest and rng.random() < 0.5:
+                token = vs.issue_vouch(kp, ident, rng.choice(honest), purpose=random_purpose(rng))
+            else:
+                token = vs.issue_attest(kp, ident, purpose=random_purpose(rng))
+            honest.append(token)
+            wires.append(token.wire)
+        elif move == "bad_sig":
+            h, p, _ = vs.issue_attest(kp, ident).wire.split(".")
+            wires.append(f"{h}.{p}.{vs.issue_attest(kp, ident).wire.split('.')[2]}")
+        elif move == "foreign_key":
+            claims = oracles.standard_claims(seed, label, oracles.ATTEST, jti)
+            if rng.random() < 0.5:
+                # Signed by another key than the one it names: signature fails.
+                wires.append(oracles.craft_wire(other if other != seed else bytes(32), claims))
+            else:
+                # Names and signs with another key than its URN binds: binding fails.
+                foreign = oracles.standard_claims(other, label, oracles.ATTEST, jti)
+                foreign["iss"] = claims["iss"]
+                wires.append(oracles.craft_wire(other, foreign))
+        else:
+            kind = rng.choice([oracles.ATTEST, oracles.BURN])
+            wires.append(craft(rng, ident.urn, kind, sub="elsewhere").wire)
+    return wires
+
+
 def random_delegation_tree(rng: random.Random, size: int = 16) -> list[vs.Token]:
     """Attests and vouches only, each vouch endorsing one of the three latest
     statements, so chains run deep and scopes narrow along them."""

@@ -1,9 +1,14 @@
+import gc
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import vouchsafe.resolution
+import vouchsafe.tokens
 from vouchsafe import (
     Bundle,
     Request,
@@ -22,6 +27,7 @@ from vouchsafe import (
     load_trust_config,
     resolve,
     temporal_filter,
+    verify,
 )
 
 import generators
@@ -79,6 +85,18 @@ class TestLoadBundle:
         assert [(d.line, d.code) for d in bundle.diagnostics][0] == (2, "not-utf-8")
         assert [d.line for d in bundle.diagnostics] == [2, 4]
 
+    def test_deeply_nested_line_becomes_diagnostic(self, alice, tmp_path):
+        kp, ident = alice
+        good = issue_attest(kp, ident)
+        deep = oracles.b64url(b"[" * 100000)
+        path = tmp_path / "b.jsonl"
+        path.write_text(f"{deep}.{deep}.{oracles.b64url(b'x' * 64)}\n{good.wire}\n")
+        bundle = load_bundle([path])
+        assert bundle.tokens.tids == {good.tid}
+        assert [(d.line, d.code) for d in bundle.diagnostics] == [
+            (1, "decode: header JSON nests too deeply")
+        ]
+
     def test_unreadable_source_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_bundle([tmp_path / "missing.jsonl"])
@@ -93,6 +111,90 @@ class TestLoadBundle:
         rng.shuffle(shuffled)
         b.write_text("".join(w + "\n" for w in shuffled))
         assert load_bundle([a]).tokens.tids == load_bundle([b]).tokens.tids
+
+
+def _ingest(paths):
+    bundle = load_bundle(paths)
+    return bundle, *filter_valid(bundle.tokens)
+
+
+class TestReingest:
+    """A grown bundle re-read while the previous load is held pays only for
+    its new wires: the unchanged ones come back as the same Token objects,
+    verify reports included."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        wires = []
+        real = vouchsafe.tokens.verify
+
+        def counted(token):
+            wires.append(token.wire)
+            return real(token)
+
+        monkeypatch.setattr(vouchsafe.tokens, "verify", counted)
+        monkeypatch.setattr(vouchsafe.resolution, "verify", counted, raising=False)
+        return wires
+
+    @pytest.fixture
+    def segments(self, monkeypatch):
+        decoded = []
+        real = vouchsafe.tokens._b64url_decode_strict
+
+        def counted(segment):
+            decoded.append(segment)
+            return real(segment)
+
+        monkeypatch.setattr(vouchsafe.tokens, "_b64url_decode_strict", counted)
+        return decoded
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = random.Random(71)
+        a = generators.random_wire_mix(rng, 12)
+        b = generators.random_wire_mix(rng, 8)
+        b += a[:3] + b[:2]  # lines already in A, and repeats within B
+        gc.collect()  # the generator's own Tokens are gone
+        (tmp_path / "a.jsonl").write_text("".join(w + "\n" for w in a))
+        (tmp_path / "b.jsonl").write_text("".join(w + "\n" for w in b))
+        return tmp_path / "a.jsonl", tmp_path / "b.jsonl", a, sorted(set(b) - set(a))
+
+    def test_verify_runs_only_for_new_wires(self, files, verified):
+        a_path, b_path, a, new = files
+        first = _ingest([a_path])
+        assert sorted(verified) == sorted(set(a))
+        verified.clear()
+        second = _ingest([a_path, b_path])
+        assert sorted(verified) == new
+        assert len(second[0].tokens) == len(first[0].tokens) + len(new)
+
+    def test_decode_runs_only_for_new_wires(self, files, segments):
+        a_path, b_path, a, new = files
+        first = _ingest([a_path])
+        segments.clear()
+        second = _ingest([a_path, b_path])
+        assert sorted(segments) == sorted(s for w in new for s in w.split("."))
+        assert all(second[0].tokens.get(t.tid) is t for t in first[0].tokens)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_second_ingest_matches_fresh_verify(self, seed):
+        rng = random.Random(seed)
+        old = generators.random_wire_mix(rng, rng.randint(1, 8))
+        grown = old + generators.random_wire_mix(rng, rng.randint(0, 6))
+        rng.shuffle(grown)
+        first_valid, first_rejected = filter_valid(TokenSet(decode(w) for w in old))
+        valid, rejected = filter_valid(TokenSet(decode(w) for w in grown))
+
+        fresh = {t.tid: verify(t) for t in (decode(w) for w in grown)}
+        assert valid.tids == {tid for tid, report in fresh.items() if report.ok}
+        assert {r.token.tid: r.report for r in rejected} == {
+            tid: report for tid, report in fresh.items() if not report.ok
+        }
+        reused = {r.token.tid: r.token for r in rejected}
+        reused.update((t.tid, t) for t in valid)
+        for token in [*first_valid, *(r.token for r in first_rejected)]:
+            assert reused[token.tid] is token
 
 
 class TestTemporalFilter:

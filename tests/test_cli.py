@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import generators
+import oracles
+import vouchsafe.cli
 from vouchsafe import TokenSet, decode, filter_valid, resolve, verify
 from vouchsafe.cli import main
 
@@ -142,6 +151,13 @@ class TestInspect:
         code, _, _ = run("inspect", path)
         assert code == 3
 
+    def test_non_utf8_token_file_exits_3(self, tmp_path, run):
+        path = tmp_path / "t.jwt"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run("inspect", str(path))
+        assert code == 3
+        assert err.startswith("error:") and "not UTF-8" in err and "Traceback" not in err
+
     def test_json_schema_field(self, keyfiles, tmp_path, run):
         alice_seed, _ = keyfiles["alice"]
         _, a_out, _ = run("issue", "attest", "--key", str(alice_seed), "--label", "alice")
@@ -211,6 +227,17 @@ class TestResolve:
         assert doc["diagnostics"] == [{"source": str(bundle), "line": 1, "code": "not-utf-8"}]
 
 
+    def test_deeply_nested_line_is_one_diagnostic(self, keyfiles, tmp_path, run):
+        deep = oracles.b64url(b"[" * 100000)
+        bundle = tmp_path / "b.jsonl"
+        bundle.write_text(f"{deep}.{deep}.{oracles.b64url(b'x' * 64)}\n")
+        code, stdout, _ = run("resolve", str(bundle), "--json")
+        assert code == 0
+        assert json.loads(stdout)["diagnostics"] == [
+            {"source": str(bundle), "line": 1, "code": "decode: header JSON nests too deeply"}
+        ]
+
+
 class TestEvaluate:
     @pytest.fixture
     def chain_setup(self, keyfiles, tmp_path, run):
@@ -262,6 +289,15 @@ class TestEvaluate:
         trust = write(tmp_path / "bad.json", "{nope")
         code, _, err = run("evaluate", bundle, "--trust", trust, "--subject", a_path)
         assert code == 2
+
+    @pytest.mark.parametrize("content", [b"[\xff]", b"[" * 100000], ids=["not-utf-8", "deep"])
+    def test_unreadable_trust_config_exit_2(self, chain_setup, tmp_path, run, content):
+        bundle, _, a_path, _ = chain_setup
+        trust = tmp_path / "trust.json"
+        trust.write_bytes(content)
+        code, _, err = run("evaluate", bundle, "--trust", str(trust), "--subject", a_path)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_explain_lists_paths(self, chain_setup, run):
         bundle, trust, a_path, _ = chain_setup
@@ -343,3 +379,95 @@ class TestEvaluate:
                            "--trust", trust, "--subject", a_path)
         assert code == 3
         assert "bundle" in err
+
+
+class TestNeverExitOneWithoutReject:
+    def test_unexpected_failure_exits_3_with_one_line(self, tmp_path, run, monkeypatch):
+        def boom(valid):
+            raise RuntimeError("internal\nfailure")
+
+        monkeypatch.setattr(vouchsafe.cli, "resolve", boom)
+        bundle = tmp_path / "b.jsonl"
+        bundle.write_text("")
+        code, stdout, err = run("resolve", str(bundle))
+        assert code == 3
+        assert (stdout, err) == ("", "error: unexpected RuntimeError: internal failure\n")
+
+
+_CHAIN, _, _SUBJECT, _, _ROOTS = generators.accepting_instance(random.Random(5))
+_FUZZ_TOKENS = _CHAIN + generators.random_token_set(random.Random(6), max_tokens=8)
+_FUZZ_WIRES = [t.wire for t in _FUZZ_TOKENS] + generators.random_wire_mix(random.Random(7), 6)
+_DEEP = oracles.b64url(b"[" * 100000)
+_TRUST = json.dumps([{"identity": urn, "scope": "*"} for urn, _ in _ROOTS])
+
+_lines = st.one_of(
+    st.sampled_from(_FUZZ_WIRES).map(str.encode),
+    st.sampled_from(_FUZZ_WIRES).map(str.encode),  # twice, so more lines are tokens
+    st.sampled_from(_FUZZ_WIRES).map(lambda w: json.dumps(w).encode()),
+    st.sampled_from(_FUZZ_WIRES).map(lambda w: (w[:-3] + "AAA").encode()),
+    st.just(f"{_DEEP}.{_DEEP}.{_DEEP}".encode()),
+    st.binary(max_size=40),
+)
+_bundles = st.builds(
+    lambda chain, lines: b"\n".join([t.wire.encode() for t in chain] + lines),
+    st.sampled_from([[], _CHAIN]), st.lists(_lines, max_size=12),
+)
+_files = st.one_of(
+    st.sampled_from(_FUZZ_WIRES).map(str.encode), st.just(_TRUST.encode()), st.just(b"[" * 100000),
+    st.binary(max_size=40),
+)
+_subjects = st.one_of(
+    st.just(_SUBJECT.tid_hex), st.sampled_from([t.tid_hex for t in _FUZZ_TOKENS]), st.just("file"),
+    st.text(alphabet="0123456789abcdefg", max_size=64),
+)
+_FLAGS = {
+    "resolve": [["--json"], ["--now", "50"], ["--now", "-1"]],
+    "inspect": [["--json"]],
+    "evaluate": [["--json"], ["--explain"], ["--now", "50"], ["--require", "read"],
+                 ["--require", "read write"], ["--max-depth", "0"], ["--max-depth", "2"],
+                 ["--max-paths", "1"]],
+}
+_JUNK_FLAGS = [["--bogus"], ["x"], ["--now"], ["--now", "soon"], ["--max-depth", "-1"],
+               ["--max-paths", "0"], ["--explain", "--json"]]
+
+
+@given(
+    command=st.sampled_from(["resolve", "evaluate", "evaluate", "inspect"]),
+    bundle=_bundles,
+    trust=st.one_of(st.just(_TRUST.encode()), _files),
+    token_file=_files,
+    subject=_subjects,
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cli_fuzz_exit_codes(tmp_path_factory, command, bundle, trust, token_file, subject, data):
+    """Any bundle bytes and flags end in a documented exit code, never a
+    traceback nor the top-level guard's catch-all, and exit 1 only with a
+    REJECT verdict."""
+    d = tmp_path_factory.getbasetemp() / "fuzz"  # rewritten by every example
+    d.mkdir(exist_ok=True)
+    (d / "b.jsonl").write_bytes(bundle)
+    (d / "trust.json").write_bytes(trust)
+    (d / "t.jwt").write_bytes(token_file)
+    argv = {
+        "resolve": ["resolve", str(d / "b.jsonl")],
+        "evaluate": ["evaluate", str(d / "b.jsonl"), "--trust", str(d / "trust.json"),
+                     "--subject", str(d / "t.jwt") if subject == "file" else subject],
+        "inspect": ["inspect", str(d / "t.jwt")],
+    }[command]
+    flags = data.draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=4))
+    if data.draw(st.sampled_from([False, False, False, True])):
+        flags.append(data.draw(st.sampled_from(_JUNK_FLAGS)))
+    argv += [arg for flag in flags for arg in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, stderr)
+    assert "Traceback" not in stdout + stderr
+    assert "error: unexpected" not in stderr
+    if code == 1:
+        assert re.search(r"^REJECT reason=", stdout, re.M) or '"verdict": "REJECT"' in stdout

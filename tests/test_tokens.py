@@ -1,10 +1,13 @@
 import base64
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
 import oracles
+import vouchsafe.tokens
 from vouchsafe import (
     DecodeError,
     IssueError,
@@ -204,6 +207,11 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode("")
 
+    def test_deeply_nested_json_fails_closed(self):
+        deep = b64url(b"[" * 100000)
+        with pytest.raises(DecodeError, match="nests too deeply"):
+            decode(f"{deep}.{deep}.{b64url(b'x' * 64)}")
+
     @pytest.mark.parametrize("universal", ["iss", "iss_key", "jti", "sub", "kind"])
     def test_missing_universal_claim_fails_closed(self, alice, universal):
         kp, ident = alice
@@ -309,3 +317,38 @@ class TestTokenId:
         kp, ident = alice
         t = issue_attest(kp, ident)
         assert decode(decode(t.wire).wire).tid == t.tid
+
+
+class TestDecodeReuse:
+    def test_same_wire_same_token_while_held(self, alice):
+        kp, ident = alice
+        wire = issue_attest(kp, ident).wire
+        first = decode(wire)
+        assert decode(wire) is first
+        assert decode(wire[:5] + wire[5:]) is first  # equal text, distinct string
+        held = weakref.ref(first)
+        del first
+        gc.collect()
+        assert held() is None
+        assert wire not in vouchsafe.tokens._live
+
+    def test_validity_is_verify_computed_once(self, alice, monkeypatch):
+        kp, ident = alice
+        token = decode(issue_attest(kp, ident).wire)
+        calls = []
+        real = vouchsafe.tokens.verify
+        monkeypatch.setattr(vouchsafe.tokens, "verify", lambda t: calls.append(t) or real(t))
+        assert token.validity == real(token)
+        assert token.validity is token.validity
+        assert calls == [token]
+
+    def test_header_and_extra_claims_are_read_only(self, alice):
+        kp, ident = alice
+        token = issue_attest(kp, ident, extra={"site": "north"})
+        with pytest.raises(TypeError):
+            token.header["alg"] = "none"
+        with pytest.raises(TypeError):
+            token.claims.extra["site"] = "forged"
+        again = decode(token.wire)
+        assert (again.header["alg"], again.claims.extra["site"]) == ("EdDSA", "north")
+        assert again.validity.ok
