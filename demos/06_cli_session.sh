@@ -1,9 +1,17 @@
 #!/bin/sh
 # A complete operator session: keys, issuance, resolution, authorization.
-# Run from anywhere; works in a scratch directory and prints as it goes.
+# Run from anywhere; works in a scratch directory, removed on exit, and prints
+# as it goes.  Without an installed `vouchsafe`, runs this checkout's CLI.
 set -e
 
+if ! command -v vouchsafe >/dev/null 2>&1; then
+  PYTHONPATH="$(cd "$(dirname "$0")/../src" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+  export PYTHONPATH
+  vouchsafe() { python3 -m vouchsafe.cli "$@"; }
+fi
+
 DIR=$(mktemp -d)
+trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
 echo "working in $DIR"
 

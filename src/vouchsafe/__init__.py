@@ -20,7 +20,6 @@ from .bundles import (
 )
 from .evaluation import (
     Decision,
-    PathEntry,
     PathReport,
     RejectReason,
     Request,
@@ -30,9 +29,8 @@ from .evaluation import (
     enumerate_paths,
     evaluate,
     path_scope,
-    token_scope,
 )
-from .graph import UNCONSTRAINED, CapabilityGraph, GraphCycleError, Scope, build_graph, parse_scope
+from .graph import UNCONSTRAINED, CapabilityGraph, Scope, build_graph, parse_scope
 from .identity import (
     Identity,
     IdentityError,
@@ -79,12 +77,10 @@ __all__ = [
     "CleanSet",
     "Decision",
     "DecodeError",
-    "GraphCycleError",
     "Identity",
     "IdentityError",
     "IssueError",
     "KeyPair",
-    "PathEntry",
     "PathReport",
     "PublicKey",
     "RejectReason",
@@ -122,7 +118,6 @@ __all__ = [
     "revokes_matches",
     "save_seed",
     "temporal_filter",
-    "token_scope",
     "validate_binding",
     "verify",
 ]

@@ -28,13 +28,11 @@ from .evaluation import (
     Decision,
     PathReport,
     Request,
-    TrustedPrincipal,
     Verdict,
     enumerate_paths,
     evaluate,
-    token_scope,
 )
-from .graph import Scope
+from .graph import Scope, parse_scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
 from .resolution import CleanSet, RejectedToken, TokenSet, filter_valid, resolve
 from .tokens import (
@@ -312,7 +310,7 @@ def _witness_json(decision: Decision) -> dict:
                 "tid": t.tid_hex,
                 "kind": t.claims.kind.value,
                 "iss": t.claims.iss,
-                "scope": _scope_json(token_scope(t)),
+                "scope": _scope_json(parse_scope(t.claims.purpose)),
             }
             for t in w.path
         ],
@@ -377,7 +375,7 @@ def cmd_evaluate(args) -> int:
             print(f"ACCEPT effective_scope={w.effective_scope}")
             print(f"root {w.root.identity} scope={w.root.root_scope}")
             for t in w.path:
-                print(f"  {t.tid_hex} {t.claims.kind.value} iss={t.claims.iss} scope={token_scope(t)}")
+                print(f"  {t.tid_hex} {t.claims.kind.value} iss={t.claims.iss} scope={parse_scope(t.claims.purpose)}")
         else:
             print(f"REJECT reason={decision.reason.value}")
         if decision.depth_limited:
@@ -395,6 +393,13 @@ def cmd_evaluate(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _path(value: str) -> str:
+    """argparse type for file arguments: an empty string would read ``.``."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vouchsafe",
@@ -404,40 +409,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a keypair and print the identity URN")
     p.add_argument("--label", required=True)
-    p.add_argument("--out", required=True, help="seed file to write")
-    p.add_argument("--pub-out", default=None, help="optionally write the public key as PEM")
+    p.add_argument("--out", type=_path, required=True, help="seed file to write")
+    p.add_argument("--pub-out", type=_path, default=None, help="optionally write the public key as PEM")
     p.add_argument("--seed-hex", default=None, help="use a fixed 32-byte seed (hex)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("issue", help="issue a signed token (one compact JWT line on stdout)")
     p.add_argument("kind", choices=["attest", "vouch", "revoke", "burn"])
-    p.add_argument("--key", required=True, help="seed file")
+    p.add_argument("--key", type=_path, required=True, help="seed file")
     p.add_argument("--label", required=True, help="issuer label (identity is derived from key + label)")
     p.add_argument("--purpose", default=None)
     p.add_argument("--claim", action="append", default=[], metavar="NAME=VALUE")
-    p.add_argument("--subject", default=None, help="subject token file (vouch)")
-    p.add_argument("--target", default=None, help="token file to revoke (revoke)")
+    p.add_argument("--subject", type=_path, default=None, help="subject token file (vouch)")
+    p.add_argument("--target", type=_path, default=None, help="token file to revoke (revoke)")
     p.add_argument("--iat", type=int, default=None)
     p.add_argument("--nbf", type=int, default=None)
     p.add_argument("--exp", type=int, default=None)
     p.set_defaults(func=cmd_issue)
 
     p = sub.add_parser("inspect", help="decode and verify a token file")
-    p.add_argument("token")
+    p.add_argument("token", type=_path)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("resolve", help="resolve a bundle to its effective token set")
-    p.add_argument("bundle", nargs="+")
+    p.add_argument("bundle", type=_path, nargs="+")
     p.add_argument("--now", type=int, default=None, help="epoch seconds for temporal pre-filtering")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("evaluate", help="decide a capability request against a bundle")
-    p.add_argument("bundle", nargs="+")
-    p.add_argument("--trust", required=True, help="trust roots JSON file")
-    p.add_argument("--subject", required=True, help="subject tid (64 hex chars) or token file")
+    p.add_argument("bundle", type=_path, nargs="+")
+    p.add_argument("--trust", type=_path, required=True, help="trust roots JSON file")
+    p.add_argument("--subject", type=_path, required=True, help="subject tid (64 hex chars) or token file")
     p.add_argument("--require", action="append", default=[], metavar="LABELS",
                    help="required capability labels (whitespace separated, repeatable)")
     p.add_argument("--explain", action="store_true", help="also list rooted paths")

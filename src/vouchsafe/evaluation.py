@@ -59,7 +59,8 @@ class RejectReason(Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    """One admissible path justifying an accept, with its effective scope."""
+    """One rooted path to the subject with its effective scope: the path
+    justifying an accept, and each entry of an explain listing."""
 
     path: tuple[Token, ...]
     effective_scope: Scope
@@ -76,24 +77,11 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class PathEntry:
-    root: TrustedPrincipal
-    path: tuple[Token, ...]
-    effective_scope: Scope
-
-
-@dataclass(frozen=True)
 class PathReport:
     """Bounded enumeration of rooted paths to a subject, for audit queries."""
 
-    entries: tuple[PathEntry, ...]
+    entries: tuple[Witness, ...]
     truncated: bool
-
-
-def token_scope(token: Token) -> Scope:
-    """The scope a statement asserts about itself; absent purpose means
-    unconstrained, for vouches exactly as for attestations."""
-    return parse_scope(token.claims.purpose)
 
 
 def path_scope(root: TrustedPrincipal, path: list[Token] | tuple[Token, ...]) -> Scope:
@@ -120,8 +108,8 @@ def path_scope(root: TrustedPrincipal, path: list[Token] | tuple[Token, ...]) ->
             raise ValueError(
                 f"nodes {node.tid_hex} -> {nxt.tid_hex} are not a delegation edge"
             )
-        effective = effective.intersect(token_scope(node))
-    return effective.intersect(token_scope(path[-1]))
+        effective = effective.intersect(parse_scope(node.claims.purpose))
+    return effective.intersect(parse_scope(path[-1].claims.purpose))
 
 
 def _chain_to_subject(graph: CapabilityGraph, start: bytes, subject_tid: bytes) -> tuple[Token, ...]:
@@ -174,7 +162,7 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
         return Decision(verdict=Verdict.REJECT, reason=RejectReason.SUBJECT_NOT_IN_CLEAN_SET)
 
     reached, depth_limited = _walk(graph, subject.tid, request.required, max_depth)
-    if token_scope(subject).covers(request.required):
+    if parse_scope(subject.claims.purpose).covers(request.required):
         # Reversed, so the first qualifying root in configuration order wins.
         qualifying = {
             r.identity: r for r in reversed(request.roots) if r.root_scope.covers(request.required)
@@ -218,7 +206,7 @@ def enumerate_paths(
     if request.subject_tid not in graph.nodes:
         return PathReport(entries=(), truncated=False)
     reached, _ = _walk(graph, request.subject_tid, request.required, max_depth)
-    entries: list[PathEntry] = []
+    entries: list[Witness] = []
     truncated = False
     for _, tid, _ in reached:
         issuer = graph.nodes[tid].claims.iss
@@ -230,9 +218,7 @@ def enumerate_paths(
             if len(entries) >= limit:
                 truncated = True
                 break
-            entries.append(
-                PathEntry(root=root, path=path, effective_scope=path_scope(root, path))
-            )
+            entries.append(Witness(path=path, effective_scope=path_scope(root, path), root=root))
         if truncated:
             break
     return PathReport(entries=tuple(entries), truncated=truncated)

@@ -5,9 +5,10 @@ contributes at most one directed edge toward its subject, found by content:
 the subject's tid must equal the vouch's ``vch_sum``, and its (jti, issuer)
 must match the reference.  Edges carry the vouch's scope label.
 
-References are hashes of already-encoded tokens, so honestly generated sets
-cannot contain cycles; the builder still runs a linear defensive check and
-refuses to return a cyclic graph, since it must terminate on arbitrary bytes.
+The graph is acyclic by construction: each node has at most one outgoing
+edge, and an edge commits to its subject by SHA-256 of the subject's exact
+wire, so a cycle would need a SHA-256 fixpoint.  Evaluation needs no cycle
+check either way: every walk over the graph stops at a depth bound.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ def parse_scope(purpose: str | None) -> Scope:
     return Scope(labels=frozenset(purpose.split()))
 
 
-class GraphCycleError(Exception):
-    """The defensive cycle check fired; carries the offending tids."""
-
-    def __init__(self, tids: list[bytes]):
-        self.tids = tids
-        super().__init__(
-            "reference cycle among tokens: " + ", ".join(t.hex() for t in tids)
-        )
-
-
 @dataclass
 class CapabilityGraph:
     """Immutable-after-build delegation graph over surviving statements.
@@ -105,26 +96,6 @@ class CapabilityGraph:
             dst, scope = self.edges[src]
             lines.append(f"edge {src.hex()} -> {dst.hex()} scope={scope}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _assert_acyclic(graph: CapabilityGraph) -> None:
-    # Each node has at most one outgoing edge, so a single pointer walk with
-    # tricolor marking covers the whole graph in linear time.
-    state: dict[bytes, int] = {}  # 1 = on current walk, 2 = finished
-    for start in graph.nodes:
-        if state.get(start) == 2:
-            continue
-        walk: list[bytes] = []
-        tid: bytes | None = start
-        while tid is not None and state.get(tid) != 2:
-            if state.get(tid) == 1:
-                raise GraphCycleError(walk[walk.index(tid) :])
-            state[tid] = 1
-            walk.append(tid)
-            nxt = graph.edges.get(tid)
-            tid = nxt[0] if nxt else None
-        for t in walk:
-            state[t] = 2
 
 
 def build_graph(clean: CleanSet) -> CapabilityGraph:
@@ -167,5 +138,4 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     for dsts in graph.reverse_edges.values():
         dsts.sort()
     graph.diagnostics.sort()
-    _assert_acyclic(graph)
     return graph

@@ -166,7 +166,6 @@ class ValidityReport:
     sig_ok: bool
     id_ok: bool
     schema_ok: bool
-    kind: TokenKind | None
     reasons: tuple[str, ...] = ()
 
     @property
@@ -421,13 +420,11 @@ def issue_burn(keypair: KeyPair, identity: Identity) -> Token:
 # Verification
 # ---------------------------------------------------------------------------
 
-def _check_signature(token: Token, reasons: list[str]) -> bool:
+def _check_signature(token: Token, pk: PublicKey | None, reasons: list[str]) -> bool:
     if token.header.get("alg") != "EdDSA":
         reasons.append("sig:alg-not-eddsa")
         return False
-    try:
-        pk = PublicKey.from_b64(token.claims.iss_key)
-    except IdentityError:
+    if pk is None:
         reasons.append("sig:iss-key-unparseable")
         return False
     header_b64, payload_b64, _ = token.wire.split(".")
@@ -440,11 +437,12 @@ def _check_signature(token: Token, reasons: list[str]) -> bool:
     return True
 
 
-def _check_binding(token: Token, reasons: list[str]) -> bool:
+def _check_binding(token: Token, pk: PublicKey | None, reasons: list[str]) -> bool:
     try:
         ident = parse_identity(token.claims.iss)
-        pk = PublicKey.from_b64(token.claims.iss_key)
     except IdentityError:
+        ident = None
+    if ident is None or pk is None:
         reasons.append("id:unparseable")
         return False
     if not validate_binding(ident, pk):
@@ -493,13 +491,17 @@ def verify(token: Token) -> ValidityReport:
     pre-filtering.  All failures are reported, none raised.
     """
     reasons: list[str] = []
-    sig_ok = _check_signature(token, reasons)
-    id_ok = _check_binding(token, reasons)
+    # Parsed once for both checks; None (unparseable) fails both.
+    try:
+        pk: PublicKey | None = PublicKey.from_b64(token.claims.iss_key)
+    except IdentityError:
+        pk = None
+    sig_ok = _check_signature(token, pk, reasons)
+    id_ok = _check_binding(token, pk, reasons)
     schema_ok = _check_schema(token, reasons)
     return ValidityReport(
         sig_ok=sig_ok,
         id_ok=id_ok,
         schema_ok=schema_ok,
-        kind=token.claims.kind,
         reasons=tuple(reasons),
     )

@@ -352,6 +352,29 @@ class TestEvaluate:
             main(["evaluate", bundle, "--trust", trust, "--subject", a_path, "--explain", flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["evaluate", "", "--trust", "{trust}", "--subject", "{a}"], "bundle"),
+            (["evaluate", "{bundle}", "--trust", "", "--subject", "{a}"], "--trust"),
+            (["evaluate", "{bundle}", "--trust", "{trust}", "--subject", ""], "--subject"),
+            (["resolve", "{bundle}", ""], "bundle"),
+            (["inspect", ""], "token"),
+            (["keygen", "--label", "x", "--out", ""], "--out"),
+            (["keygen", "--label", "x", "--out", "{a}", "--pub-out", ""], "--pub-out"),
+            (["issue", "attest", "--key", "", "--label", "alice"], "--key"),
+            (["issue", "vouch", "--key", "{key}", "--label", "alice", "--subject", ""], "--subject"),
+            (["issue", "revoke", "--key", "{key}", "--label", "alice", "--target", ""], "--target"),
+        ],
+    )
+    def test_empty_path_exits_2(self, chain_setup, keyfiles, capsys, argv, name):
+        bundle, trust, a_path, _ = chain_setup
+        paths = {"bundle": bundle, "trust": trust, "a": a_path, "key": str(keyfiles["alice"][0])}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        assert f"argument {name}: must not be empty" in capsys.readouterr().err
+
     def test_depth_limited_reported_only_when_true(self, chain_setup, run):
         bundle, trust, a_path, _ = chain_setup
         code, stdout, _ = run("evaluate", bundle, "--trust", trust, "--subject", a_path,

@@ -264,6 +264,30 @@ class TestEvaluate:
                 assert d.reason.value == want["reason"]
                 assert d.depth_limited == want["depth_limited"]
 
+    def test_witness_is_first_covering_explain_entry(self):
+        rng = random.Random(47)
+        for i in range(1200):
+            if i % 8 < 4:
+                tokens = generators.random_token_set(rng)
+            else:
+                tokens = generators.random_delegation_tree(rng)
+            roots = generators.as_principals(generators.random_roots(rng))
+            required = generators.random_required(rng)
+            request = Request(generators.random_subject_tid(rng, tokens), required, roots)
+            max_depth = (0, 1, 2, 64)[i % 4]
+            clean = clean_of(tokens)
+            d = evaluate(clean, request, max_depth=max_depth)
+            report = enumerate_paths(
+                clean, request, limit=len(tokens) * len(roots) + 1, max_depth=max_depth
+            )
+            assert not report.truncated
+            covering = [e for e in report.entries if e.effective_scope.covers(required)]
+            if d.verdict is Verdict.ACCEPT:
+                assert d.witness == covering[0]
+            else:
+                assert covering == []
+                assert bool(report.entries) == (d.reason is RejectReason.SCOPE_INSUFFICIENT)
+
     def test_witness_soundness(self):
         rng = random.Random(41)
         for _ in range(60):

@@ -39,7 +39,7 @@ class TestIssueAttest:
         kp, ident = alice
         t = issue_attest(kp, ident, purpose="read write")
         report = verify(t)
-        assert report.ok and report.kind is TokenKind.ATTEST
+        assert report.ok and t.claims.kind is TokenKind.ATTEST
         again = decode(t.wire)
         assert again.claims == t.claims
         assert again.tid == t.tid
@@ -248,6 +248,21 @@ class TestVerify:
         report = verify(decode(wire))
         assert not report.sig_ok
         assert "sig:alg-not-eddsa" in report.reasons
+
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [
+            ("iss_key", "not base64!", (False, ("sig:iss-key-unparseable", "id:unparseable"))),
+            ("iss_key", "AAAA", (False, ("sig:iss-key-unparseable", "id:unparseable"))),
+            ("iss", "urn:vouchsafe:no-digest", (True, ("id:unparseable",))),
+        ],
+    )
+    def test_unparseable_key_or_urn_reasons(self, field, value, want):
+        claims = oracles.standard_claims(b"\x11" * 32, "alice", "vch:attest", "j1")
+        claims[field] = value
+        report = verify(decode(oracles.craft_wire(b"\x11" * 32, claims)))
+        assert (report.sig_ok, report.reasons) == want
+        assert not report.id_ok
 
     def test_signature_segment_tamper(self, alice):
         kp, ident = alice
