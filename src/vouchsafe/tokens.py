@@ -25,6 +25,7 @@ keeps its own verify report (:attr:`Token.validity`).
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import re
@@ -420,33 +421,45 @@ def issue_burn(keypair: KeyPair, identity: Identity) -> Token:
 # Verification
 # ---------------------------------------------------------------------------
 
-def _check_signature(token: Token, pk: PublicKey | None, reasons: list[str]) -> bool:
+@functools.lru_cache(maxsize=1024)
+def _issuer_key(iss: str, iss_key: str) -> tuple[Ed25519PublicKey | None, str | None]:
+    """The issuer's signature key, and why ``iss`` is not bound to it, if it is not.
+
+    A pure function of the two claim strings, so it is memoized: a bundle
+    carries few distinct issuers, and parsing the key and checking the
+    binding cost 12-21 us per token, against about 0.2 us for a hit.
+    The key is None when ``iss_key`` is unparseable.
+    """
+    try:
+        pk: PublicKey | None = PublicKey.from_b64(iss_key)
+    except IdentityError:
+        pk = None
+    try:
+        ident: Identity | None = parse_identity(iss)
+    except IdentityError:
+        ident = None
+    if ident is None or pk is None:
+        unbound: str | None = "id:unparseable"
+    elif not validate_binding(ident, pk):
+        unbound = "id:digest-mismatch"
+    else:
+        unbound = None
+    return (None if pk is None else Ed25519PublicKey.from_public_bytes(pk.raw)), unbound
+
+
+def _check_signature(token: Token, key: Ed25519PublicKey | None, reasons: list[str]) -> bool:
     if token.header.get("alg") != "EdDSA":
         reasons.append("sig:alg-not-eddsa")
         return False
-    if pk is None:
+    if key is None:
         reasons.append("sig:iss-key-unparseable")
         return False
     header_b64, payload_b64, _ = token.wire.split(".")
     signing_input = f"{header_b64}.{payload_b64}".encode("ascii")
     try:
-        Ed25519PublicKey.from_public_bytes(pk.raw).verify(token.sig, signing_input)
+        key.verify(token.sig, signing_input)
     except InvalidSignature:
         reasons.append("sig:signature-mismatch")
-        return False
-    return True
-
-
-def _check_binding(token: Token, pk: PublicKey | None, reasons: list[str]) -> bool:
-    try:
-        ident = parse_identity(token.claims.iss)
-    except IdentityError:
-        ident = None
-    if ident is None or pk is None:
-        reasons.append("id:unparseable")
-        return False
-    if not validate_binding(ident, pk):
-        reasons.append("id:digest-mismatch")
         return False
     return True
 
@@ -491,17 +504,14 @@ def verify(token: Token) -> ValidityReport:
     pre-filtering.  All failures are reported, none raised.
     """
     reasons: list[str] = []
-    # Parsed once for both checks; None (unparseable) fails both.
-    try:
-        pk: PublicKey | None = PublicKey.from_b64(token.claims.iss_key)
-    except IdentityError:
-        pk = None
-    sig_ok = _check_signature(token, pk, reasons)
-    id_ok = _check_binding(token, pk, reasons)
+    key, unbound = _issuer_key(token.claims.iss, token.claims.iss_key)
+    sig_ok = _check_signature(token, key, reasons)
+    if unbound is not None:
+        reasons.append(unbound)
     schema_ok = _check_schema(token, reasons)
     return ValidityReport(
         sig_ok=sig_ok,
-        id_ok=id_ok,
+        id_ok=unbound is None,
         schema_ok=schema_ok,
         reasons=tuple(reasons),
     )

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import vouchsafe as vs
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Every child process a test starts, filter_valid's forks included, is
+    reaped by the end of that test."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,13 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +16,8 @@ from hypothesis import strategies as st
 import generators
 import oracles
 import vouchsafe.cli
-from vouchsafe import TokenSet, decode, filter_valid, resolve, verify
+import vouchsafe.resolution
+from vouchsafe import TokenKind, TokenSet, decode, filter_valid, resolve, verify
 from vouchsafe.cli import main
 
 
@@ -402,6 +408,78 @@ class TestEvaluate:
                            "--trust", trust, "--subject", a_path)
         assert code == 3
         assert "bundle" in err
+
+
+class TestSplitVerify:
+    """Above filter_valid's fork threshold the CLI's output does not depend
+    on whether the signatures were checked in forked children."""
+
+    @pytest.fixture(scope="class")
+    def big_bundle(self, tmp_path_factory):
+        wires = generators.random_wire_mix(
+            random.Random(401), vouchsafe.resolution._FORK_MIN_TOKENS + 40
+        )
+        vouches = (decode(w) for w in wires)
+        subject = next(t.claims.vch_sum for t in vouches if t.claims.kind is TokenKind.VOUCH)
+        d = tmp_path_factory.mktemp("split")
+        bundle = write(d / "b.jsonl", "".join(w + "\n" for w in wires))
+        roots = [{"identity": ident.urn, "scope": "*" if i % 2 else ["read"]}
+                 for i, (_, ident) in enumerate(generators.POOL[:3])]
+        return bundle, write(d / "trust.json", json.dumps(roots)), subject
+
+    @pytest.mark.parametrize("command", ["resolve", "evaluate"])
+    def test_same_output_on_one_or_two_cpus(self, big_bundle, run, command):
+        bundle, trust, subject = big_bundle
+        argv = [command, bundle, "--json"]
+        if command == "evaluate":
+            argv += ["--explain", "--trust", trust, "--subject", subject, "--require", "read"]
+        outputs, forks, real_fork = [], [], os.fork
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                mp.setattr(vouchsafe.resolution, "_CPU_QUOTA_FILES", ())
+                mp.setattr(os, "fork", lambda: forks.append(cpus) or real_fork())
+                gc.collect()  # no Token of the previous run, or its report, is reused
+                outputs.append(run(*argv))
+        assert forks == [2]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1) and outputs[0][1]
+
+    def test_same_output_when_started_with_sigchld_ignored(self, big_bundle):
+        """A parent that ignores SIGCHLD passes that on through exec; then the
+        children would be reaped unseen, so the CLI verifies serially."""
+        bundle, _, _ = big_bundle
+        argv = [sys.executable, "-m", "vouchsafe.cli", "resolve", bundle, "--json"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        runs = [
+            subprocess.run(argv, capture_output=True, timeout=120, env=env, preexec_fn=preexec)
+            for preexec in (None, lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+        ]
+        outputs = [(r.returncode, r.stdout, r.stderr) for r in runs]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1) and outputs[0][1]
+
+    def test_unflushed_stdio_is_written_once(self):
+        script = """if True:
+            import os, sys
+            import vouchsafe as vs
+            import vouchsafe.resolution
+            kp = vs.generate_keypair(bytes(32))
+            ident = vs.derive_identity(kp.public, "a")
+            wires = [vs.issue_attest(kp, ident).wire for _ in range(6)]
+            vouchsafe.resolution._FORK_MIN_TOKENS = 2
+            vouchsafe.resolution._usable_cpus = lambda: 2
+            forks, real_fork = [], os.fork
+            os.fork = lambda: forks.append(1) or real_fork()
+            sys.stdout.write("out-before ")
+            sys.stderr.write("err-before ")
+            valid, _ = vs.filter_valid(vs.TokenSet(vs.decode(w) for w in wires))
+            print(f"valid={len(valid)} forks={len(forks)}")
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, b"out-before valid=6 forks=1\n", b"err-before "
+        )
 
 
 class TestNeverExitOneWithoutReject:

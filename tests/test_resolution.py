@@ -1,6 +1,16 @@
+import contextlib
+import os
 import random
+import signal
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import vouchsafe.resolution
+import vouchsafe.tokens
 from vouchsafe import (
     TokenSet,
     decode,
@@ -11,6 +21,7 @@ from vouchsafe import (
     issue_vouch,
     resolve,
     revokes_matches,
+    verify,
 )
 
 import generators
@@ -244,3 +255,243 @@ class TestResolveProperties:
             got = {t.tid_hex for t in resolve(TokenSet(tokens)).tokens}
             want = oracles.oracle_clean_tids([t.wire for t in tokens])
             assert got == want
+
+
+@contextlib.contextmanager
+def _split(cpus: int = 3, threshold: int = 2):
+    """filter_valid as on a host with ``cpus`` usable CPUs, no CPU quota and
+    a fork threshold of ``threshold`` tokens; yields the pids that called fork."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vouchsafe.resolution, "_FORK_MIN_TOKENS", threshold)
+        mp.setattr(vouchsafe.resolution, "_CPU_QUOTA_FILES", ())
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        mp.setattr(os, "fork", counted_fork)
+        yield forks
+
+
+@contextlib.contextmanager
+def _sigchld(handler):
+    old = signal.signal(signal.SIGCHLD, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
+def _reap_any(signum, frame):
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+
+
+def _fresh(wires):
+    tokens = [decode(w) for w in wires]
+    for t in tokens:
+        object.__setattr__(t, "_validity", None)
+    return tokens
+
+
+def _outcome(valid, rejected):
+    return [t.tid for t in valid], [(r.token.tid, r.report) for r in rejected]
+
+
+def _serial_outcome(tokens, reports):
+    return (
+        [t.tid for t, r in zip(tokens, reports) if r.ok],
+        [(t.tid, r) for t, r in zip(tokens, reports) if not r.ok],
+    )
+
+
+def _forbidden_fork():
+    raise AssertionError("filter_valid forked")
+
+
+def _blocked_signals():
+    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+class TestSplitVerify:
+    """Large unverified sets are verified in forked children; the reports,
+    and so every result, are exactly those of the serial pass."""
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 24))
+    @settings(max_examples=20, deadline=None)
+    def test_split_matches_serial_and_fresh_verify(self, seed, size):
+        tokens = _fresh(generators.random_wire_mix(random.Random(seed), size))
+        with _split() as forks:
+            split = _outcome(*filter_valid(TokenSet(tokens)))
+        assert forks, "the split did not run"
+        reports = [t.validity for t in tokens]
+        for t in tokens:
+            object.__setattr__(t, "_validity", None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", _forbidden_fork)
+            assert _outcome(*filter_valid(TokenSet(tokens))) == split
+        assert reports == [t.validity for t in tokens] == [verify(t) for t in tokens]
+
+    @pytest.mark.parametrize("failure", ["exit", "raise"])
+    def test_failed_child_slice_is_verified_here(self, monkeypatch, failure):
+        tokens = _fresh(generators.random_wire_mix(random.Random(9), 16))
+        expected = [verify(t) for t in tokens]
+        parent, real = os.getpid(), vouchsafe.tokens.verify
+
+        def failing(token):
+            if os.getpid() == parent:
+                return real(token)
+            if failure == "exit":
+                os._exit(1)
+            raise RuntimeError("verify failed in a child")
+
+        monkeypatch.setattr(vouchsafe.tokens, "verify", failing)
+        with _split() as forks:
+            valid, rejected = filter_valid(TokenSet(tokens))
+        assert len(forks) == 2
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+
+    def test_child_reaped_elsewhere_is_verified_here(self, monkeypatch):
+        """A child whose exit status someone else collected (waitpid raises
+        ChildProcessError) counts as failed; nothing is killed or waited twice."""
+        tokens = _fresh(generators.random_wire_mix(random.Random(12), 16))
+        expected = [verify(t) for t in tokens]
+        real_waitpid, real_kill, stolen, waited, killed = os.waitpid, os.kill, [], [], []
+
+        def waitpid(pid, options):
+            waited.append(pid)
+            if not stolen:
+                stolen.append(real_waitpid(pid, options))
+                raise ChildProcessError(10, "No child processes")
+            return real_waitpid(pid, options)
+
+        def kill(pid, sig):
+            killed.append(pid)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "kill", kill)
+        with _split() as forks:
+            valid, rejected = filter_valid(TokenSet(tokens))
+        monkeypatch.undo()
+        assert len(forks) == 2 and stolen
+        assert len(waited) == len(set(waited)) == 2 and not killed
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+
+    def test_fork_failure_falls_back_to_serial(self):
+        tokens = _fresh(generators.random_wire_mix(random.Random(10), 8))
+        expected = [verify(t) for t in tokens]
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        with _split(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
+            filter_valid(TokenSet(tokens))
+        assert [t.validity for t in tokens] == expected
+
+    def test_children_run_no_signal_handler(self, monkeypatch):
+        """Ctrl-C reaches the whole process group: a child that gets SIGINT
+        still finishes its slice (it runs no KeyboardInterrupt), and this
+        process's signal mask is unchanged afterwards."""
+        tokens = _fresh(generators.random_wire_mix(random.Random(13), 12))
+        expected = [verify(t) for t in tokens]
+        parent, real = os.getpid(), vouchsafe.tokens.verify
+        verified_here = []
+
+        def interrupted(token):
+            if os.getpid() == parent:
+                verified_here.append(token)
+            else:
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(token)
+
+        mask = _blocked_signals()
+        monkeypatch.setattr(vouchsafe.tokens, "verify", interrupted)
+        with _split() as forks:
+            valid, rejected = filter_valid(TokenSet(tokens))
+        assert len(forks) == 2
+        assert len(verified_here) == 4  # only the first of three slices
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+        assert _blocked_signals() == mask
+
+    def test_interrupt_here_kills_and_reaps_children(self, monkeypatch):
+        tokens = _fresh(generators.random_wire_mix(random.Random(14), 12))
+        parent, real = os.getpid(), vouchsafe.tokens.verify
+
+        def interrupt_here(token):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(token)
+
+        mask = _blocked_signals()
+        monkeypatch.setattr(vouchsafe.tokens, "verify", interrupt_here)
+        with _split() as forks, pytest.raises(KeyboardInterrupt):
+            filter_valid(TokenSet(tokens))
+        assert len(forks) == 2  # both reaped: the autouse fixture checks
+        assert _blocked_signals() == mask
+
+    @pytest.mark.parametrize(
+        "condition",
+        ["second thread", "one cpu", "cpu quota", "no fork", "below threshold",
+         "SIGCHLD ignored", "SIGCHLD handled"],
+    )
+    def test_no_fork(self, condition, tmp_path):
+        tokens = _fresh(generators.random_wire_mix(random.Random(11), 8))
+        expected = [verify(t) for t in tokens]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        cpus = 1 if condition == "one cpu" else 3
+        threshold = len(tokens) + 1 if condition == "below threshold" else 2
+        handler = {"SIGCHLD ignored": signal.SIG_IGN, "SIGCHLD handled": _reap_any}
+        with _split(cpus, threshold), pytest.MonkeyPatch.context() as mp:
+            if condition == "no fork":
+                mp.delattr(os, "fork")
+            else:
+                mp.setattr(os, "fork", _forbidden_fork)
+            if condition == "cpu quota":  # docker --cpus=1.5 on a 3-CPU host
+                (tmp_path / "cpu.max").write_text("150000 100000\n")
+                mp.setattr(vouchsafe.resolution, "_CPU_QUOTA_FILES", ((str(tmp_path / "cpu.max"),),))
+            if condition == "second thread":
+                thread.start()
+            try:
+                with _sigchld(handler.get(condition, signal.SIG_DFL)):
+                    valid, rejected = filter_valid(TokenSet(tokens))
+            finally:
+                stop.set()
+        if condition == "second thread":
+            thread.join(10)
+            assert not thread.is_alive()
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+
+    @pytest.mark.parametrize(
+        "files, quota",
+        [
+            ({"cpu.max": "max 100000\n"}, None),
+            ({"cpu.max": "150000 100000\n"}, 1),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cpu.max": "400000 100000\n"}, 4),
+            ({"quota": "-1\n", "period": "100000\n"}, None),
+            ({"quota": "250000\n", "period": "100000\n"}, 2),
+            ({"cpu.max": "300000 100000\n", "quota": "100000\n", "period": "100000\n"}, 3),
+            ({}, None),
+        ],
+    )
+    def test_cpu_quota_caps_usable_cpus(self, monkeypatch, tmp_path, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(vouchsafe.resolution, "_CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),),
+            (str(tmp_path / "quota"), str(tmp_path / "period")),
+        ))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+        assert vouchsafe.resolution._cpu_quota() == quota
+        assert vouchsafe.resolution._usable_cpus() == min(3, quota or 3)

@@ -2,10 +2,12 @@ import base64
 import gc
 import hashlib
 import json
+import random
 import weakref
 
 import pytest
 
+import generators
 import oracles
 import vouchsafe.tokens
 from vouchsafe import (
@@ -263,6 +265,19 @@ class TestVerify:
         report = verify(decode(oracles.craft_wire(b"\x11" * 32, claims)))
         assert (report.sig_ok, report.reasons) == want
         assert not report.id_ok
+
+    def test_issuer_key_memo_changes_no_report(self):
+        """A cached (iss, iss_key) entry gives the report a cold cache gives,
+        for pairs that bind, pairs that do not, and foreign keys."""
+        tokens = [decode(w) for w in generators.random_wire_mix(random.Random(3), 40)]
+        cold = []
+        for t in tokens:
+            vouchsafe.tokens._issuer_key.cache_clear()
+            cold.append(verify(t))
+        assert [verify(t) for t in tokens] == cold
+        hits = vouchsafe.tokens._issuer_key.cache_info().hits
+        assert [verify(t) for t in tokens] == cold
+        assert vouchsafe.tokens._issuer_key.cache_info().hits - hits == len(tokens)
 
     def test_signature_segment_tamper(self, alice):
         kp, ident = alice
