@@ -21,7 +21,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet
-from .tokens import DecodeError, TokenKind, decode
+from .tokens import DecodeError, Token, TokenKind, _decode_unseen, _live_token, decode
 
 
 class TrustConfigError(ValueError):
@@ -49,45 +49,52 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     Blank lines are skipped; a line may optionally be a JSON-quoted string.
     Exact duplicates (same wire) collapse to one token.  A line holding bytes
     that are not UTF-8 becomes a ``not-utf-8`` diagnostic.
+
+    A line that is the exact wire of a Token still held from an earlier load
+    costs one lookup: it was checked and decoded then.
     """
-    bundle = Bundle()
+    found: list[Token] = []
+    diagnostics: list[BundleDiagnostic] = []
     for source in sources:
         path = Path(source)
-        # Bytes that are not UTF-8 become lone surrogates, which _add_line flags.
+        # Bytes that are not UTF-8 become lone surrogates, which _read_line flags.
         text = path.read_text(encoding="utf-8", errors="surrogateescape")
-        if path.suffix == ".jwt":
-            _add_line(bundle, str(path), 1, text.strip())
-            continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        single = path.suffix == ".jwt"
+        name = str(path)
+        for lineno, line in enumerate([text] if single else text.splitlines(), start=1):
             line = line.strip()
-            if line:
-                _add_line(bundle, str(path), lineno, line)
-    return bundle
+            token = _live_token(line)
+            if token is None:
+                if not line and not single:
+                    continue
+                token = _read_line(diagnostics, name, lineno, line)
+                if token is None:
+                    continue
+            found.append(token)
+    return Bundle(tokens=TokenSet(found), diagnostics=diagnostics)
 
 
-def _add_line(bundle: Bundle, source: str, lineno: int, line: str) -> None:
+def _read_line(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> Token | None:
+    """Decode a line that is not the wire of a live Token, or record why it is unusable."""
     if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
-        bundle.diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-utf-8"))
-        return
+        diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-utf-8"))
+        return None
+    read = _decode_unseen
     if line.startswith('"'):
         try:
             line = json.loads(line)
         except json.JSONDecodeError:
-            bundle.diagnostics.append(
-                BundleDiagnostic(source=source, line=lineno, code="bad-json-string")
-            )
-            return
+            diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="bad-json-string"))
+            return None
         if not isinstance(line, str):
-            bundle.diagnostics.append(
-                BundleDiagnostic(source=source, line=lineno, code="not-a-string")
-            )
-            return
+            diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-a-string"))
+            return None
+        read = decode  # the unquoted wire may still have a live Token
     try:
-        bundle.tokens.add(decode(line))
+        return read(line)
     except DecodeError as exc:
-        bundle.diagnostics.append(
-            BundleDiagnostic(source=source, line=lineno, code=f"decode: {exc}")
-        )
+        diagnostics.append(BundleDiagnostic(source=source, line=lineno, code=f"decode: {exc}"))
+        return None
 
 
 def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
@@ -100,14 +107,13 @@ def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
     """
     if now is None:
         return bundle
-    kept = TokenSet()
-    for token in bundle.tokens:
-        c = token.claims
-        if c.kind in (TokenKind.ATTEST, TokenKind.VOUCH) and (
-            (c.exp is not None and c.exp <= now) or (c.nbf is not None and c.nbf > now)
-        ):
-            continue
-        kept.add(token)
+    statements = (TokenKind.ATTEST, TokenKind.VOUCH)
+    kept = TokenSet([
+        t
+        for t in bundle.tokens
+        if (c := t.claims).kind not in statements
+        or ((c.exp is None or c.exp > now) and (c.nbf is None or c.nbf <= now))
+    ])
     return Bundle(tokens=kept, diagnostics=list(bundle.diagnostics))
 
 

@@ -21,7 +21,6 @@ import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 URN_PREFIX = "urn:vouchsafe:"
@@ -125,10 +124,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     elif len(seed) != 32:
         raise IdentityError(f"seed must be exactly 32 bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
-    raw = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return KeyPair(seed=seed, public=PublicKey.from_raw(raw))
+    return KeyPair(seed=seed, public=PublicKey.from_raw(private.public_key().public_bytes_raw()))
 
 
 def derive_identity(pk: PublicKey, label: str) -> Identity:

@@ -25,11 +25,11 @@ keeps its own verify report (:attr:`Token.validity`).
 from __future__ import annotations
 
 import base64
+import binascii
 import functools
 import hashlib
 import json
 import re
-import uuid
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,13 +182,35 @@ def _b64url_encode(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).decode("ascii").rstrip("=")
 
 
+# Unpadded base64url (RFC 4648 section 5) symbols, and, for a segment of
+# length 4k + r, the symbols its last one may be: those whose bits past the
+# encoded bytes are zero.  No segment has length 4k + 1.
+_B64URL_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+_FINAL_SYMBOLS = (_B64URL_ALPHABET, b"", b"AQgw", b"AEIMQUYcgkosw048")
+_TO_STANDARD = bytes.maketrans(b"-_", b"+/")
+
+
 def _b64url_decode_strict(segment: str) -> bytes:
     """Decode one unpadded base64url segment, rejecting non-canonical forms.
 
-    Re-encoding must reproduce the segment exactly; this rejects padding
-    characters and any garbage in unused trailing bits, so two distinct wire
-    texts can never decode to the same bytes.
+    A segment is canonical when it is ASCII, uses only the URL-safe
+    alphabet, and its length and final symbol leave no unused bits set; so
+    two distinct wire texts can never decode to the same bytes.  Anything
+    else goes to :func:`_b64url_decode_reencoded`, which says why it fails.
     """
+    if segment.isascii():
+        data = segment.encode("ascii")
+        if not data.translate(None, _B64URL_ALPHABET) and (
+            not data or data[-1] in _FINAL_SYMBOLS[len(data) % 4]
+        ):
+            return binascii.a2b_base64(data.translate(_TO_STANDARD) + b"=" * (-len(data) % 4))
+    return _b64url_decode_reencoded(segment)
+
+
+def _b64url_decode_reencoded(segment: str) -> bytes:
+    """:func:`_b64url_decode_strict` by decoding and re-encoding: re-encoding
+    must reproduce the segment exactly, which rejects padding characters and
+    any garbage in unused trailing bits."""
     try:
         decoded = base64.b64decode(
             segment + "=" * (-len(segment) % 4), altchars=b"-_", validate=True
@@ -235,11 +257,19 @@ def decode(wire: str) -> Token:
     lines.  Nothing is retained that the caller has dropped, and a one-shot
     process such as the CLI sees every wire once and gains nothing.
     """
+    token = _live_token(wire) if isinstance(wire, str) else None
+    return _decode_unseen(wire) if token is None else token
+
+
+def _live_token(wire: str) -> Token | None:
+    """The Token :func:`decode` built from exactly this wire, if some caller still holds it."""
+    return _live.get(wire)
+
+
+def _decode_unseen(wire: str) -> Token:
+    """:func:`decode` for a wire with no live Token: parse it and register the Token."""
     if not isinstance(wire, str) or not wire:
         raise DecodeError("empty wire text")
-    token = _live.get(wire)
-    if token is not None:
-        return token
     parts = wire.split(".")
     if len(parts) != 3:
         raise DecodeError(f"expected 3 dot-separated segments, got {len(parts)}")
@@ -325,6 +355,14 @@ def _issue(
     return decode(f"{signing_input}.{_b64url_encode(sig)}")
 
 
+def _new_jti() -> str:
+    """A fresh random statement id.  ``uuid`` is imported here, on the issuance
+    path only: importing it costs every verifying process a few ms at start-up."""
+    import uuid
+
+    return str(uuid.uuid4())
+
+
 def _times(iat: int | None, nbf: int | None, exp: int | None) -> dict:
     out = {}
     if iat is not None:
@@ -347,7 +385,7 @@ def issue_attest(
     exp: int | None = None,
 ) -> Token:
     """Issue a self-referential assertion (``sub`` == ``jti``)."""
-    jti = str(uuid.uuid4())
+    jti = _new_jti()
     rest: dict[str, Any] = {"jti": jti, "sub": jti}
     if purpose is not None:
         rest["purpose"] = purpose
@@ -374,7 +412,7 @@ def issue_vouch(
     if subject.claims.kind not in (TokenKind.ATTEST, TokenKind.VOUCH):
         raise IssueError(f"cannot vouch for a {subject.claims.kind.value} token")
     rest: dict[str, Any] = {
-        "jti": str(uuid.uuid4()),
+        "jti": _new_jti(),
         "sub": subject.claims.jti,
         "vch_iss": subject.claims.iss,
         "vch_sum": subject.tid_hex,
@@ -401,7 +439,7 @@ def issue_revoke(keypair: KeyPair, identity: Identity, revoked: Token) -> Token:
         raise IssueError("target token has no subject reference")
     sub, vch_iss, vch_sum = triple
     rest = {
-        "jti": str(uuid.uuid4()),
+        "jti": _new_jti(),
         "sub": sub,
         "vch_iss": vch_iss,
         "vch_sum": vch_sum,
@@ -412,7 +450,7 @@ def issue_revoke(keypair: KeyPair, identity: Identity, revoked: Token) -> Token:
 
 def issue_burn(keypair: KeyPair, identity: Identity) -> Token:
     """Terminate this identity, irreversibly; ``burns`` names the issuer itself."""
-    jti = str(uuid.uuid4())
+    jti = _new_jti()
     rest = {"jti": jti, "sub": jti, "burns": identity.urn}
     return _issue(keypair, identity, TokenKind.BURN, rest)
 

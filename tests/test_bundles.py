@@ -118,6 +118,46 @@ def _ingest(paths):
     return bundle, *filter_valid(bundle.tokens)
 
 
+def _stages(paths, now):
+    bundle = load_bundle(paths)
+    filtered = temporal_filter(bundle, now)
+    valid, rejected = filter_valid(filtered.tokens)
+    return bundle, filtered, valid, rejected, resolve(valid)
+
+
+def _outcome(stages):
+    """Everything each stage reports, with tokens named by tid, in order."""
+    bundle, filtered, valid, rejected, clean = stages
+    return (
+        [t.tid for t in bundle.tokens],
+        bundle.diagnostics,
+        [t.tid for t in filtered.tokens],
+        [t.tid for t in valid],
+        [(r.token.tid, r.report) for r in rejected],
+        [t.tid for t in clean.tokens],
+        clean.burned_identities,
+        clean.revoked_statements,
+        bundle.tokens.duplicate_statement_ids(),
+        valid.duplicate_statement_ids(),
+    )
+
+
+def _hostile_lines(rng, now):
+    """Bundle lines as bytes: wires that verify or not, control tokens and
+    duplicate statement ids, expired and not-yet-valid statements, garbage,
+    quoted wires, non-UTF-8 bytes and exact repeats."""
+    kp, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+    wires = generators.random_wire_mix(rng, rng.randint(1, 6))
+    wires += [t.wire for t in generators.random_token_set(rng, max_tokens=6)]
+    for timed in rng.sample([{"exp": now}, {"nbf": now + 1}, {"exp": now + 1, "nbf": now}], 2):
+        wires.append(issue_attest(kp, ident, **timed).wire)
+    lines = [w.encode() for w in wires]
+    lines += [json.dumps(rng.choice(wires)).encode(), b"garbage", b"a.b", b'"unterminated']
+    lines += [b"\xff" + rng.choice(wires).encode(), rng.choice(lines)]
+    rng.shuffle(lines)
+    return lines
+
+
 class TestReingest:
     """A grown bundle re-read while the previous load is held pays only for
     its new wires: the unchanged ones come back as the same Token objects,
@@ -195,6 +235,35 @@ class TestReingest:
         reused.update((t.tid, t) for t in valid)
         for token in [*first_valid, *(r.token for r in first_rejected)]:
             assert reused[token.tid] is token
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_warm_reingest_equals_cold(self, seed, tmp_path_factory):
+        """Every stage of a re-read of A+B while A's stages are held equals a
+        read of the same files with none of their Tokens alive."""
+        rng = random.Random(seed)
+        now = 1000
+        a_lines, b_lines = _hostile_lines(rng, now), _hostile_lines(rng, now)
+        b_lines += rng.sample(a_lines, min(3, len(a_lines)))  # known lines arrive again
+        b_lines += rng.sample(b_lines, min(2, len(b_lines)))  # and repeat within B
+        rng.shuffle(b_lines)
+        tmp = tmp_path_factory.mktemp("reingest")
+        a, b = tmp / "a.jsonl", tmp / "b.jsonl"
+        a.write_bytes(b"".join(line + b"\n" for line in a_lines))
+        b.write_bytes(b"".join(line + b"\n" for line in b_lines))
+        gc.collect()  # the generators' own Tokens are gone
+
+        held = _stages([a], now)
+        warm = _stages([a, b], now)
+        assert all(warm[0].tokens.get(t.tid) is t for t in held[0].tokens)
+        warm_outcome = _outcome(warm)
+        del held, warm
+        gc.collect()
+        assert all(
+            vouchsafe.tokens._live_token(line.decode("utf-8", "replace").strip('"')) is None
+            for line in a_lines + b_lines
+        )
+        assert _outcome(_stages([a, b], now)) == warm_outcome
 
 
 class TestTemporalFilter:

@@ -482,6 +482,19 @@ class TestSplitVerify:
         )
 
 
+def test_cli_import_skips_keygen_and_issuance_modules():
+    """Only key generation and issuance need these; every CLI start would pay for them."""
+    script = (
+        "import sys, vouchsafe.cli; "
+        "print(sorted({'uuid', 'cryptography.hazmat.primitives.serialization'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestNeverExitOneWithoutReject:
     def test_unexpected_failure_exits_3_with_one_line(self, tmp_path, run, monkeypatch):
         def boom(valid):

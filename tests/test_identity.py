@@ -27,6 +27,15 @@ class TestKeypair:
         kp = generate_keypair(bytes(32))
         assert kp.public.raw.hex() == ZERO_SEED_PUB_HEX
 
+    def test_raw_key_equals_serialized_raw_encoding(self):
+        from cryptography.hazmat.primitives import serialization
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+        for seed in (bytes(32), b"\x07" * 32, bytes(range(32))):
+            public = Ed25519PrivateKey.from_private_bytes(seed).public_key()
+            raw = public.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+            assert generate_keypair(seed).public.raw == raw
+
     def test_same_seed_same_key(self):
         assert generate_keypair(b"\x07" * 32).public.raw == generate_keypair(b"\x07" * 32).public.raw
 

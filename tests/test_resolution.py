@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import random
 import signal
@@ -50,6 +51,52 @@ class TestTokenSet:
         ts = TokenSet([t, dup])
         assert len(ts) == 2
         assert ts.duplicate_statement_ids() == [(ident.urn, t.claims.jti)]
+
+    @staticmethod
+    def _same_statement(alice, n):
+        """An attest and n other wires claiming its (issuer, jti)."""
+        kp, ident = alice
+        t = issue_attest(kp, ident)
+        seed = b"\x11" * 32
+        claims = [
+            oracles.standard_claims(seed, "alice", "vch:attest", t.claims.jti, note=str(i))
+            for i in range(n)
+        ]
+        others = [decode(oracles.craft_wire(seed, c)) for c in claims]
+        return ident.urn, t, others
+
+    def test_statement_index_sees_later_adds(self, alice):
+        urn, t, (d1, d2) = self._same_statement(alice, 2)
+        ts = TokenSet([t])
+        assert ts.by_statement(urn, t.claims.jti) == [t]
+        assert ts.duplicate_statement_ids() == []
+        assert ts.add(d1)
+        assert ts.duplicate_statement_ids() == [(urn, t.claims.jti)]
+        assert ts.add(d2)
+        assert not ts.add(t)
+        assert ts.by_statement(urn, t.claims.jti) == [t, d1, d2]
+        assert ts.by_statement(urn, "absent") == []
+
+    def test_by_statement_in_insertion_order(self, alice):
+        urn, t, (d1, d2) = self._same_statement(alice, 2)
+        for order in ([d2, t, d1], [d1, d2, t], [t, d2, d1]):
+            ts = TokenSet(order)
+            assert ts.by_statement(urn, t.claims.jti) == order
+            assert list(ts) == order
+
+    def test_first_token_per_tid_kept(self, alice):
+        kp, ident = alice
+        a, b = issue_attest(kp, ident), issue_attest(kp, ident)
+        a_copy = dataclasses.replace(a)  # a second Token for the same wire
+        cases = [
+            ([a, b, a_copy], [a, b]),
+            ([a_copy, a, b], [a_copy, b]),
+            ([b, a_copy, a, b], [b, a_copy]),
+        ]
+        for order, kept in cases:
+            ts = TokenSet(order)
+            assert [id(x) for x in ts] == [id(x) for x in kept]
+            assert ts.get(a.tid) is kept[kept.index(a)]
 
 
 class TestFilterValid:

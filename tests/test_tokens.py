@@ -1,11 +1,14 @@
 import base64
 import gc
 import hashlib
+import itertools
 import json
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import generators
 import oracles
@@ -331,6 +334,45 @@ class TestVerify:
         )
         report = verify(decode(oracles.craft_wire(seed, claims)))
         assert not report.schema_ok
+
+
+# URL-safe alphabet, then what a segment must not hold: padding, the standard
+# alphabet's two symbols, whitespace, non-ASCII text and an undecodable byte.
+_SEGMENT_SYMBOLS = [
+    *"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_",
+    *"=+/ \n", "\u00e9", "\u2028", "\udcff",
+]
+
+
+def _agrees_with_reencoding(segment):
+    outcomes = []
+    for decoder in (vouchsafe.tokens._b64url_decode_strict, vouchsafe.tokens._b64url_decode_reencoded):
+        try:
+            outcomes.append(decoder(segment))
+        except DecodeError as exc:
+            outcomes.append(str(exc))
+    return outcomes[0] == outcomes[1]
+
+
+class TestCanonicalBase64:
+    """The alphabet-and-final-symbol check accepts exactly the segments that
+    re-encoding reproduces, and fails as it does, with the same text."""
+
+    @given(st.lists(st.sampled_from(_SEGMENT_SYMBOLS), max_size=12).map("".join))
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_reencoding(self, segment):
+        assert _agrees_with_reencoding(segment)
+
+    def test_every_short_segment_matches_reencoding(self):
+        for n in range(3):
+            for symbols in itertools.product(_SEGMENT_SYMBOLS, repeat=n):
+                assert _agrees_with_reencoding("".join(symbols)), symbols
+
+    def test_round_trips_random_bytes(self):
+        rng = random.Random(3)
+        for n in range(40):
+            data = rng.randbytes(n)
+            assert vouchsafe.tokens._b64url_decode_strict(b64url(data)) == data
 
 
 class TestTokenId:
