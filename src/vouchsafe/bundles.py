@@ -21,7 +21,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet
-from .tokens import DecodeError, Token, TokenKind, _decode_unseen, _live_token, decode
+from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _live_token, decode
 
 
 class TrustConfigError(ValueError):
@@ -107,11 +107,10 @@ def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
     """
     if now is None:
         return bundle
-    statements = (TokenKind.ATTEST, TokenKind.VOUCH)
     kept = TokenSet([
         t
         for t in bundle.tokens
-        if (c := t.claims).kind not in statements
+        if (c := t.claims).kind not in _STATEMENT_KINDS
         or ((c.exp is None or c.exp > now) and (c.nbf is None or c.nbf <= now))
     ])
     return Bundle(tokens=kept, diagnostics=list(bundle.diagnostics))

@@ -296,7 +296,7 @@ def cmd_resolve(args) -> int:
 
 def _subject_tid(value: str) -> bytes:
     text = value.strip()
-    if len(text) == 64 and all(c in "0123456789abcdef" for c in text):
+    if len(text) == 64 and all(c in "0123456789abcdefABCDEF" for c in text):
         return bytes.fromhex(text)
     return _read_token_file(value).tid
 
@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="decide a capability request against a bundle")
     p.add_argument("bundle", type=_path, nargs="+")
     p.add_argument("--trust", type=_path, required=True, help="trust roots JSON file")
-    p.add_argument("--subject", type=_path, required=True, help="subject tid (64 hex chars) or token file")
+    p.add_argument("--subject", type=_path, required=True, help="subject tid (64 hex chars, either case) or token file")
     p.add_argument("--require", action="append", default=[], metavar="LABELS",
                    help="required capability labels (whitespace separated, repeatable)")
     p.add_argument("--explain", action="store_true", help="also list rooted paths")

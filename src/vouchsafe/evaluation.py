@@ -20,7 +20,7 @@ from enum import Enum
 
 from .graph import CapabilityGraph, Scope, parse_scope
 from .resolution import CleanSet
-from .tokens import Token, TokenKind
+from .tokens import _VOUCH, Token
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -102,7 +102,7 @@ def path_scope(root: TrustedPrincipal, path: list[Token] | tuple[Token, ...]) ->
         raise ValueError("path is not rooted in the given principal")
     effective = root.root_scope
     for node, nxt in zip(path, path[1:]):
-        if node.claims.kind is not TokenKind.VOUCH:
+        if node.claims.kind is not _VOUCH:
             raise ValueError(f"non-terminal node {node.tid_hex} is not a vouch")
         if node.subject_triple() != (nxt.claims.jti, nxt.claims.iss, nxt.tid_hex):
             raise ValueError(
@@ -134,19 +134,31 @@ def _walk(
     down covers ``required``.  Out-degree is at most one, so that path is
     unique and each node is reached once.  The flag is True when the walk
     stopped at ``max_depth`` while a node at that depth still had vouchers.
+
+    One FIFO over a single list that is read while it grows, then one sort:
+    the cost is linear in the nodes reached, plus that sort.
     """
-    frontier = [(0, subject_tid, True)]
-    reached = list(frontier)
-    depth = 0
-    while frontier and depth < max_depth:
+    edges = graph.edges
+    reverse_edges = graph.reverse_edges
+    reached = [(0, subject_tid, True)]
+    # Appended entries are visited too; depths along the list never decrease.
+    for depth, tid, covers in reached:
+        vouchers = reverse_edges.get(tid)
+        if vouchers is None:
+            continue
+        if depth >= max_depth:
+            # Every later entry sits at this same depth and is not expanded.
+            reached.sort()
+            return reached, True
         depth += 1
-        frontier = sorted(
-            (depth, voucher_tid, covers and graph.edges[voucher_tid][1].covers(required))
-            for _, tid, covers in frontier
-            for voucher_tid in graph.reverse_edges.get(tid, ())
-        )
-        reached += frontier
-    return reached, any(tid in graph.reverse_edges for _, tid, _ in frontier)
+        for voucher_tid in vouchers:
+            if covers:
+                labels = edges[voucher_tid][1].labels
+                reached.append((depth, voucher_tid, labels is None or required <= labels))
+            else:
+                reached.append((depth, voucher_tid, False))
+    reached.sort()
+    return reached, False
 
 
 def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEPTH) -> Decision:
@@ -161,30 +173,37 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
     if subject is None:
         return Decision(verdict=Verdict.REJECT, reason=RejectReason.SUBJECT_NOT_IN_CLEAN_SET)
 
-    reached, depth_limited = _walk(graph, subject.tid, request.required, max_depth)
-    if parse_scope(subject.claims.purpose).covers(request.required):
-        # Reversed, so the first qualifying root in configuration order wins.
-        qualifying = {
-            r.identity: r for r in reversed(request.roots) if r.root_scope.covers(request.required)
-        }
-        # Nodes arrive shortest path first; among equally short paths the tid
-        # sequences differ at the start node, so the first hit is the lex minimum.
-        for _, tid, covers in reached:
-            root = qualifying.get(graph.nodes[tid].claims.iss) if covers else None
-            if root is not None:
+    required = request.required
+    reached, depth_limited = _walk(graph, subject.tid, required, max_depth)
+    # Issuer -> the first root in configuration order that can qualify a path
+    # to this subject, or None when roots with that identity exist but none
+    # can.  Built in reverse so that earlier roots overwrite later ones.
+    subject_covers = parse_scope(subject.claims.purpose).covers(required)
+    roots: dict[str, TrustedPrincipal | None] = {}
+    for r in reversed(request.roots):
+        if subject_covers and r.root_scope.covers(required):
+            roots[r.identity] = r
+        else:
+            roots.setdefault(r.identity, None)
+
+    # Nodes arrive shortest path first; among equally short paths the tid
+    # sequences differ at the start node, so the first hit is the lex minimum.
+    # With no hit, any rooted node reached makes the reject SCOPE_INSUFFICIENT
+    # rather than NO_ROOTED_PATH.
+    nodes = graph.nodes
+    rooted = False
+    for _, tid, covers in reached:
+        issuer = nodes[tid].claims.iss
+        if issuer in roots:
+            root = roots[issuer]
+            if covers and root is not None:
                 path = _chain_to_subject(graph, tid, subject.tid)
                 return Decision(
                     verdict=Verdict.ACCEPT,
                     witness=Witness(path=path, effective_scope=path_scope(root, path), root=root),
                 )
-
-    # No qualifying path: distinguish "no rooted path at all" from "rooted
-    # paths exist but none carries the required scope".
-    root_identities = {r.identity for r in request.roots}
-    if any(graph.nodes[tid].claims.iss in root_identities for _, tid, _ in reached):
-        reason = RejectReason.SCOPE_INSUFFICIENT
-    else:
-        reason = RejectReason.NO_ROOTED_PATH
+            rooted = True
+    reason = RejectReason.SCOPE_INSUFFICIENT if rooted else RejectReason.NO_ROOTED_PATH
     return Decision(verdict=Verdict.REJECT, reason=reason, depth_limited=depth_limited)
 
 
@@ -206,19 +225,18 @@ def enumerate_paths(
     if request.subject_tid not in graph.nodes:
         return PathReport(entries=(), truncated=False)
     reached, _ = _walk(graph, request.subject_tid, request.required, max_depth)
+    roots: dict[str, list[TrustedPrincipal]] = {}
+    for r in request.roots:
+        roots.setdefault(r.identity, []).append(r)
+    nodes = graph.nodes
     entries: list[Witness] = []
-    truncated = False
     for _, tid, _ in reached:
-        issuer = graph.nodes[tid].claims.iss
-        matching = [r for r in request.roots if r.identity == issuer]
-        if not matching:
+        matching = roots.get(nodes[tid].claims.iss)
+        if matching is None:
             continue
         path = _chain_to_subject(graph, tid, request.subject_tid)
         for root in matching:
             if len(entries) >= limit:
-                truncated = True
-                break
+                return PathReport(entries=tuple(entries), truncated=True)
             entries.append(Witness(path=path, effective_scope=path_scope(root, path), root=root))
-        if truncated:
-            break
-    return PathReport(entries=tuple(entries), truncated=truncated)
+    return PathReport(entries=tuple(entries), truncated=False)

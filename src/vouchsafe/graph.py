@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .tokens import Token, TokenKind
+from .tokens import _STATEMENT_KINDS, _VOUCH, Token
 
 if TYPE_CHECKING:
     from .resolution import CleanSet
@@ -106,11 +106,11 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     """
     graph = CapabilityGraph()
     for token in clean.tokens:
-        if token.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH):
+        if token.claims.kind in _STATEMENT_KINDS:
             graph.nodes[token.tid] = token
 
     for tid, token in graph.nodes.items():
-        if token.claims.kind is not TokenKind.VOUCH:
+        if token.claims.kind is not _VOUCH:
             continue
         c = token.claims
         try:

@@ -177,7 +177,10 @@ def save_seed(path: str | Path, keypair: KeyPair) -> None:
 
 def load_keypair(path: str | Path) -> KeyPair:
     """Load a keypair from a seed file written by :func:`save_seed`."""
-    text = Path(path).read_text(encoding="utf-8").strip()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise IdentityError(f"{path}: not UTF-8: {exc}") from exc
     if not text.startswith(SEED_FILE_PREFIX):
         raise IdentityError(f"{path}: not an ed25519 seed file")
     hex_part = text[len(SEED_FILE_PREFIX) :]

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import Token, TokenKind, ValidityReport
+from .tokens import _REVOKE, _STATEMENT_KINDS, Token, TokenKind, ValidityReport
 
 
 class TokenSet:
@@ -305,9 +305,9 @@ def revokes_matches(revocation: Token, token: Token) -> bool:
     target's.  The triple comparison is what pins the revocation to one exact
     prior act; it cannot be redirected to a re-encoded or substituted subject.
     """
-    if revocation.claims.kind is not TokenKind.REVOKE:
+    if revocation.claims.kind is not _REVOKE:
         return False
-    if token.claims.kind not in (TokenKind.ATTEST, TokenKind.VOUCH):
+    if token.claims.kind not in _STATEMENT_KINDS:
         return False
     if revocation.claims.iss != token.claims.iss:
         return False

@@ -6,7 +6,8 @@ enumeration).  Nothing is shared with the library's resolution, graph, or
 evaluation code paths, so agreement is meaningful.
 
 Also provides a raw token crafter that signs arbitrary claim dicts, for
-adversarial shapes the library's issuance API refuses to construct.
+adversarial shapes the library's issuance API refuses to construct, and a
+level-by-level reference for the evaluator's backward walk over a built graph.
 """
 
 from __future__ import annotations
@@ -255,3 +256,30 @@ def oracle_decision(
         "reason": "SCOPE_INSUFFICIENT" if rooted else "NO_ROOTED_PATH",
         "depth_limited": len(counted) < len(paths),
     }
+
+
+# ---------------------------------------------------------------------------
+# Walk reference: the backward BFS one level at a time, each level sorted
+# ---------------------------------------------------------------------------
+
+def oracle_walk(graph, subject_tid: bytes, required: frozenset, max_depth: int):
+    """``(reached, depth_limited)`` as ``evaluation._walk`` must return them.
+
+    Builds each depth level from the previous one and sorts it, so the
+    concatenation is in ``(depth, tid, covers)`` order; ``covers`` is the
+    previous node's flag and-ed with the edge scope covering ``required``.
+    The flag is True when the level at ``max_depth`` holds a node that still
+    has vouchers.
+    """
+    frontier = [(0, subject_tid, True)]
+    reached = list(frontier)
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        frontier = sorted(
+            (depth, voucher_tid, covers and _covers(graph.edges[voucher_tid][1].labels, required))
+            for _, tid, covers in frontier
+            for voucher_tid in graph.reverse_edges.get(tid, ())
+        )
+        reached += frontier
+    return reached, any(tid in graph.reverse_edges for _, tid, _ in frontier)

@@ -131,6 +131,14 @@ class TestIssue:
                          "--claim", "novalue")
         assert code == 2
 
+    def test_non_utf8_key_file_is_data_error(self, tmp_path, run):
+        key = tmp_path / "k.seed"
+        key.write_bytes(b"\xff\xfe" + b"\x00" * 40)
+        code, stdout, err = run("issue", "attest", "--key", str(key), "--label", "alice")
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"error: {key}: not UTF-8")
+        assert "unexpected" not in err and len(err.splitlines()) == 1
+
 
 class TestInspect:
     def test_valid_attest(self, keyfiles, tmp_path, run):
@@ -280,6 +288,19 @@ class TestEvaluate:
         code, stdout, _ = run("evaluate", bundle, "--trust", trust, "--subject", a.tid_hex,
                               "--require", "read", "--json")
         assert code == 0 and json.loads(stdout)["verdict"] == "ACCEPT"
+
+    @pytest.mark.parametrize("require", ["read", "write"])
+    def test_subject_tid_hex_in_any_case(self, chain_setup, run, require):
+        bundle, trust, _, a = chain_setup
+        mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(a.tid_hex))
+        for flags in ((), ("--json",), ("--json", "--explain")):
+            runs = [
+                run("evaluate", bundle, "--trust", trust, "--subject", subject,
+                    "--require", require, *flags)
+                for subject in (a.tid_hex, a.tid_hex.upper(), mixed)
+            ]
+            assert runs[0][0] == (0 if require == "read" else 1)
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_unknown_root_rejects_before_traversal(self, chain_setup, tmp_path, run):
         bundle, _, a_path, _ = chain_setup

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from vouchsafe import (
     UNCONSTRAINED,
+    CapabilityGraph,
     RejectReason,
     Request,
     Scope,
@@ -23,6 +24,7 @@ from vouchsafe import (
 )
 
 import generators
+from vouchsafe.evaluation import _walk
 
 
 def clean_of(tokens):
@@ -460,3 +462,94 @@ class TestEnumeratePaths:
                 [t.wire for t in tokens], subject_tid.hex(), roots_raw, required
             )
             assert (d.verdict is Verdict.ACCEPT) == want
+
+
+def _edge_graph(edges, rng):
+    """A CapabilityGraph holding only ``edges`` (voucher -> (subject, scope)),
+    with each reverse list in random order: the walk needs nothing else."""
+    reverse = {}
+    for src, (dst, _) in edges.items():
+        reverse.setdefault(dst, []).append(src)
+    for vouchers in reverse.values():
+        rng.shuffle(vouchers)
+    return CapabilityGraph(edges=dict(edges), reverse_edges=reverse)
+
+
+def _random_scope(rng):
+    if rng.random() < 0.3:
+        return UNCONSTRAINED
+    return Scope(frozenset(label for label in "abc" if rng.random() < 0.6))
+
+
+class TestWalk:
+    """``_walk`` returns exactly the level-by-level reference's ``(reached,
+    depth_limited)``, covers flags included, on shapes the random token
+    generators do not produce."""
+
+    DEPTHS = (0, 1, 2, 3, 64)
+
+    def _check(self, graph, subject, rng, rounds=12):
+        for _ in range(rounds):
+            required = frozenset(label for label in "abc" if rng.random() < 0.4)
+            for max_depth in self.DEPTHS:
+                got = _walk(graph, subject, required, max_depth)
+                assert got == oracles.oracle_walk(graph, subject, required, max_depth)
+
+    def test_hub_with_interleaving_grandchildren(self):
+        rng = random.Random(91)
+        subject = bytes([0x40])
+        edges = {}
+        # Hubs sort in reverse of creation order; every hub's vouchers and
+        # their vouchers interleave in tid order with other hubs' at the same
+        # level, so a per-parent append order is not the sorted order.
+        for i in range(6):
+            hub = bytes([0xF0 - i])
+            edges[hub] = (subject, _random_scope(rng))
+            for j in range(4):
+                child = bytes([0x10 + j, i])
+                edges[child] = (hub, _random_scope(rng))
+                for k in range(3):
+                    edges[bytes([0x01, k, j, i])] = (child, _random_scope(rng))
+        graph = _edge_graph(edges, rng)
+        self._check(graph, subject, rng)
+        reached, _ = _walk(graph, subject, frozenset(), 64)
+        assert len(reached) == 1 + 6 + 24 + 72
+        assert reached == sorted(reached)
+
+    def test_planted_cycle(self):
+        # The two-node cycle of test_graph's planted-cycle test: each node
+        # vouches for the other, so every level holds one node again.
+        rng = random.Random(92)
+        a, v = b"\xaa" * 32, b"\x55" * 32
+        for scope_a, scope_v in ((UNCONSTRAINED, UNCONSTRAINED), (Scope.of("a"), Scope.of("a", "b"))):
+            graph = _edge_graph({v: (a, scope_v), a: (v, scope_a)}, rng)
+            for subject in (a, v):
+                self._check(graph, subject, rng, rounds=4)
+                reached, depth_limited = _walk(graph, subject, frozenset(), 64)
+                assert len(reached) == 65 and depth_limited
+
+    def test_seventy_edge_chain(self):
+        rng = random.Random(93)
+        tids = [rng.randbytes(32) for _ in range(71)]
+        edges = {tids[i + 1]: (tids[i], _random_scope(rng)) for i in range(70)}
+        graph = _edge_graph(edges, rng)
+        self._check(graph, tids[0], rng)
+        for max_depth in (69, 70, 71):
+            reached, depth_limited = _walk(graph, tids[0], frozenset(), max_depth)
+            assert len(reached) == min(max_depth, 70) + 1
+            assert depth_limited == (max_depth < 70)
+
+    def test_random_forests(self):
+        # Out-degree at most one, many vouchers per node, sometimes a planted
+        # back edge from the subject into its own tree.
+        rng = random.Random(94)
+        for _ in range(60):
+            tids = [rng.randbytes(2) for _ in range(rng.randint(1, 40))]
+            edges = {}
+            for i in range(1, len(tids)):
+                if rng.random() < 0.85:
+                    edges[tids[i]] = (tids[rng.randrange(i)], _random_scope(rng))
+            if len(tids) > 1 and rng.random() < 0.2:
+                edges[tids[0]] = (rng.choice(tids[1:]), _random_scope(rng))
+            graph = _edge_graph(edges, rng)
+            self._check(graph, rng.choice(tids), rng, rounds=3)

@@ -186,6 +186,13 @@ class TestKeyFiles:
         assert text.startswith("ed25519-seed-hex:") and text.endswith("\n")
         assert load_keypair(path).public.raw == kp.public.raw
 
+    def test_non_utf8_seed_file_is_identity_error(self, tmp_path):
+        path = tmp_path / "k.seed"
+        path.write_bytes(b"\xff\xfe" + b"ed25519-seed-hex:" + b"00" * 32)
+        with pytest.raises(IdentityError, match="not UTF-8") as info:
+            load_keypair(path)
+        assert str(path) in str(info.value)
+
     def test_garbage_seed_file(self, tmp_path):
         path = tmp_path / "bad.seed"
         path.write_text("not a seed\n")
