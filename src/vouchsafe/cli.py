@@ -36,6 +36,7 @@ from .graph import Scope, parse_scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
 from .resolution import CleanSet, RejectedToken, TokenSet, filter_valid, resolve
 from .tokens import (
+    _OPTIONAL_CLAIMS,
     DecodeError,
     IssueError,
     Token,
@@ -165,7 +166,7 @@ def cmd_issue(args) -> int:
 def _claims_json(token: Token) -> dict:
     c = token.claims
     doc = {"iss": c.iss, "iss_key": c.iss_key, "kind": c.kind.value, "jti": c.jti, "sub": c.sub}
-    for name in ("vch_iss", "vch_sum", "revokes", "burns", "purpose", "iat", "nbf", "exp"):
+    for name in _OPTIONAL_CLAIMS:
         value = getattr(c, name)
         if value is not None:
             doc[name] = value

@@ -24,23 +24,23 @@ from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import _REVOKE, _STATEMENT_KINDS, Token, TokenKind, ValidityReport
+from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, Token, ValidityReport
 
 
 class TokenSet:
-    """A finite token collection keyed by tid, in insertion order.
+    """A fixed token collection keyed by tid, in the order given.
 
     Exact duplicates (same wire, hence same tid) collapse to the first token
-    inserted.  Distinct wires reusing an (issuer, jti) pair are all retained;
+    given.  Distinct wires reusing an (issuer, jti) pair are all retained;
     content hashes keep references unambiguous, and
     :meth:`duplicate_statement_ids` surfaces the issuer-uniqueness violation
     for diagnostics.
 
-    The only stored state is one tid -> Token dict, filled in bulk by the
-    constructor.  The (issuer, jti) index behind :meth:`by_statement` and
-    :meth:`duplicate_statement_ids` is built on the first such query and
-    dropped by :meth:`add`, so a set that is never asked (every pipeline
-    stage's intermediate set) never pays for it.
+    The members are fixed by the constructor; no method adds or removes one.
+    The (issuer, jti) index behind :meth:`by_statement` and
+    :meth:`duplicate_statement_ids` is built on the first such query, so a
+    set that is never asked (every pipeline stage's intermediate set) never
+    pays for it.
     """
 
     def __init__(self, tokens: Iterable[Token] = ()) -> None:
@@ -50,14 +50,6 @@ class TokenSet:
             for t in reversed(listed):
                 self._by_tid[t.tid] = t
         self._statements: dict[tuple[str, str], list[Token]] | None = None
-
-    def add(self, token: Token) -> bool:
-        """Insert a token; returns False if an identical wire was present."""
-        if token.tid in self._by_tid:
-            return False
-        self._by_tid[token.tid] = token
-        self._statements = None
-        return True
 
     def get(self, tid: bytes) -> Token | None:
         return self._by_tid.get(tid)
@@ -108,8 +100,8 @@ class CleanSet:
     tid of one matching revocation (smallest tid when several match).
 
     Its capability graph is built once, lazily, on first use of
-    :attr:`graph`, and every request against this set reuses it; so a clean
-    set must not be mutated after :func:`resolve` returns it.
+    :attr:`graph`, and every request against this set reuses it: its
+    :class:`TokenSet` cannot change, so the graph cannot go stale.
     """
 
     tokens: TokenSet
@@ -325,17 +317,15 @@ def resolve(valid: TokenSet) -> CleanSet:
     that survive their own checks remain members; their effects must stay
     visible to any evaluator handed the same set.
     """
-    # Enum members read once: each TokenKind.X costs about 0.1 us on CPython 3.11.
-    burn, revoke = TokenKind.BURN, TokenKind.REVOKE
     burns: list[str] = []
     # Revocations indexed by the (issuer, jti) statement they claim to retract.
     revocations: dict[tuple[str, str], list[Token]] = {}
     for t in valid:
         c = t.claims
-        if c.kind is burn:
+        if c.kind is _BURN:
             if c.burns is not None:
                 burns.append(c.burns)
-        elif c.kind is revoke and c.revokes is not None:
+        elif c.kind is _REVOKE and c.revokes is not None:
             revocations.setdefault((c.iss, c.revokes), []).append(t)
     burned_ids = frozenset(burns)
 
@@ -343,7 +333,7 @@ def resolve(valid: TokenSet) -> CleanSet:
     revoked_statements: dict[tuple[str, str], bytes] = {}
     for token in valid:
         c = token.claims
-        if c.iss in burned_ids and c.kind is not burn:
+        if c.iss in burned_ids and c.kind is not _BURN:
             continue
         key = (c.iss, c.jti)
         if key in revocations:

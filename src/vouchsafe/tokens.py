@@ -57,28 +57,16 @@ _REFERENCE_KINDS = (_VOUCH, _REVOKE)
 
 PROTECTED_HEADER = {"alg": "EdDSA", "typ": "JWT"}
 
-RESERVED_CLAIMS = frozenset(
-    {
-        "iss",
-        "iss_key",
-        "kind",
-        "jti",
-        "sub",
-        "vch_iss",
-        "vch_sum",
-        "revokes",
-        "burns",
-        "purpose",
-        "iat",
-        "nbf",
-        "exp",
-    }
-)
+# Every claim name this format gives a meaning to, each written once.  Every
+# token carries ``kind`` and the universal claims; the optional ones are in the
+# order ``vouchsafe inspect --json`` lists them, the integer time claims last.
+_UNIVERSAL_CLAIMS = ("iss", "iss_key", "jti", "sub")
+_OPTIONAL_CLAIMS = ("vch_iss", "vch_sum", "revokes", "burns", "purpose", "iat", "nbf", "exp")
+_INT_CLAIMS = _OPTIONAL_CLAIMS[-3:]
+_STRING_CLAIMS = _UNIVERSAL_CLAIMS + _OPTIONAL_CLAIMS[:-3]
+RESERVED_CLAIMS = frozenset(("kind",) + _UNIVERSAL_CLAIMS + _OPTIONAL_CLAIMS)
 
 _HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
-
-_STRING_CLAIMS = ("iss", "iss_key", "jti", "sub", "vch_iss", "vch_sum", "revokes", "burns", "purpose")
-_INT_CLAIMS = ("iat", "nbf", "exp")
 
 
 class TokenError(ValueError):
@@ -168,16 +156,30 @@ class Token:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of :func:`verify`; overall validity needs all three checks."""
+    """Outcome of :func:`verify`: every reason the token is invalid.
 
-    sig_ok: bool
-    id_ok: bool
-    schema_ok: bool
-    reasons: tuple[str, ...] = ()
+    Each reason names its check by prefix (``sig:``, ``id:`` or ``schema:``),
+    so a check passed exactly when it gave no reason, and the token is valid
+    exactly when no check gave one.
+    """
+
+    reasons: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.sig_ok and self.id_ok and self.schema_ok
+        return not self.reasons
+
+    @property
+    def sig_ok(self) -> bool:
+        return not any(r.startswith("sig:") for r in self.reasons)
+
+    @property
+    def id_ok(self) -> bool:
+        return not any(r.startswith("id:") for r in self.reasons)
+
+    @property
+    def schema_ok(self) -> bool:
+        return not any(r.startswith("schema:") for r in self.reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ def _decode_unseen(wire: str) -> Token:
         raise DecodeError("missing claim 'kind'") from None
     except ValueError:
         raise DecodeError(f"unknown token kind {payload['kind']!r}") from None
-    for name in ("iss", "iss_key", "jti", "sub"):
+    for name in _UNIVERSAL_CLAIMS:
         if name not in payload:
             raise DecodeError(f"missing claim {name!r}")
 
@@ -491,54 +493,40 @@ def _issuer_key(iss: str, iss_key: str) -> tuple[Ed25519PublicKey | None, str | 
     return (None if pk is None else Ed25519PublicKey.from_public_bytes(pk.raw)), unbound
 
 
-def _check_signature(token: Token, key: Ed25519PublicKey | None, reasons: list[str]) -> bool:
+def _check_signature(token: Token, key: Ed25519PublicKey | None, reasons: list[str]) -> None:
     if token.header.get("alg") != "EdDSA":
         reasons.append("sig:alg-not-eddsa")
-        return False
-    if key is None:
+    elif key is None:
         reasons.append("sig:iss-key-unparseable")
-        return False
-    header_b64, payload_b64, _ = token.wire.split(".")
-    signing_input = f"{header_b64}.{payload_b64}".encode("ascii")
-    try:
-        key.verify(token.sig, signing_input)
-    except InvalidSignature:
-        reasons.append("sig:signature-mismatch")
-        return False
-    return True
+    else:
+        wire = token.wire
+        try:
+            key.verify(token.sig, wire[: wire.rindex(".")].encode("ascii"))
+        except InvalidSignature:
+            reasons.append("sig:signature-mismatch")
 
 
-def _check_schema(token: Token, reasons: list[str]) -> bool:
+def _check_schema(token: Token, reasons: list[str]) -> None:
     c = token.claims
-    ok = True
     if not c.jti:
         reasons.append("schema:empty-jti")
-        ok = False
     kind = c.kind
     if kind in (_ATTEST, _BURN) and c.sub != c.jti:
         reasons.append("schema:sub-not-self")
-        ok = False
     if kind in _REFERENCE_KINDS:
         if c.vch_iss is None:
             reasons.append("schema:missing-vch-iss")
-            ok = False
         if c.vch_sum is None:
             reasons.append("schema:missing-vch-sum")
-            ok = False
         elif not _HEX64_RE.match(c.vch_sum):
             reasons.append("schema:vch-sum-not-hex64")
-            ok = False
     if kind is _REVOKE and c.revokes is None:
         reasons.append("schema:missing-revokes")
-        ok = False
     if kind is _BURN:
         if c.burns is None:
             reasons.append("schema:missing-burns")
-            ok = False
         elif c.burns != c.iss:
             reasons.append("schema:burns-not-issuer")
-            ok = False
-    return ok
 
 
 def verify(token: Token) -> ValidityReport:
@@ -550,13 +538,8 @@ def verify(token: Token) -> ValidityReport:
     """
     reasons: list[str] = []
     key, unbound = _issuer_key(token.claims.iss, token.claims.iss_key)
-    sig_ok = _check_signature(token, key, reasons)
+    _check_signature(token, key, reasons)
     if unbound is not None:
         reasons.append(unbound)
-    schema_ok = _check_schema(token, reasons)
-    return ValidityReport(
-        sig_ok=sig_ok,
-        id_ok=unbound is None,
-        schema_ok=schema_ok,
-        reasons=tuple(reasons),
-    )
+    _check_schema(token, reasons)
+    return ValidityReport(tuple(reasons))

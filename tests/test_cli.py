@@ -140,6 +140,80 @@ class TestIssue:
         assert "unexpected" not in err and len(err.splitlines()) == 1
 
 
+_ALICE_SEED = b"\x11" * 32
+_OTHER_KEY = oracles.standard_claims(b"\x22" * 32, "other", oracles.ATTEST, "j")["iss_key"]
+_VCH_ISS = "urn:vouchsafe:x." + "a" * 52
+_HEX64 = "0" * 64
+_ES256_HEADER = oracles.b64url(json.dumps({"alg": "ES256", "typ": "JWT"}).encode())
+
+
+def _crafted(kind=oracles.ATTEST, jti="j1", signer=_ALICE_SEED, **claims):
+    """A wire whose claims name alice unless ``claims`` overrides them, signed by ``signer``."""
+    claims = oracles.standard_claims(_ALICE_SEED, "alice", kind, jti, **claims)
+    return oracles.craft_wire(signer, claims)
+
+
+def _schema_failure(reason):
+    return (False, True, True, False, [reason])
+
+
+# One token per check verify can fail, with its whole inspect --json validity
+# object: (ok, sig_ok, id_ok, schema_ok, sorted reasons).
+_VALIDITY_CASES = [
+    pytest.param(_crafted(), (True, True, True, True, []), id="valid"),
+    pytest.param(
+        ".".join([_ES256_HEADER, *_crafted().split(".")[1:]]),
+        (False, False, True, True, ["sig:alg-not-eddsa"]),
+        id="alg-not-eddsa",
+    ),
+    pytest.param(
+        _crafted(iss_key="AAAA"),
+        (False, False, False, True, ["id:unparseable", "sig:iss-key-unparseable"]),
+        id="iss-key-unparseable",
+    ),
+    pytest.param(
+        _crafted(signer=b"\x22" * 32),
+        (False, False, True, True, ["sig:signature-mismatch"]),
+        id="signature-mismatch",
+    ),
+    pytest.param(
+        _crafted(signer=b"\x22" * 32, iss_key=_OTHER_KEY),
+        (False, True, False, True, ["id:digest-mismatch"]),
+        id="digest-mismatch",
+    ),
+    pytest.param(_crafted(jti=""), _schema_failure("schema:empty-jti"), id="empty-jti"),
+    pytest.param(_crafted(sub="j0"), _schema_failure("schema:sub-not-self"), id="sub-not-self"),
+    pytest.param(
+        _crafted(oracles.VOUCH, sub="j0", vch_sum=_HEX64),
+        _schema_failure("schema:missing-vch-iss"),
+        id="missing-vch-iss",
+    ),
+    pytest.param(
+        _crafted(oracles.VOUCH, sub="j0", vch_iss=_VCH_ISS),
+        _schema_failure("schema:missing-vch-sum"),
+        id="missing-vch-sum",
+    ),
+    pytest.param(
+        _crafted(oracles.VOUCH, sub="j0", vch_iss=_VCH_ISS, vch_sum="0" * 63 + "G"),
+        _schema_failure("schema:vch-sum-not-hex64"),
+        id="vch-sum-not-hex64",
+    ),
+    pytest.param(
+        _crafted(oracles.REVOKE, sub="j0", vch_iss=_VCH_ISS, vch_sum=_HEX64),
+        _schema_failure("schema:missing-revokes"),
+        id="missing-revokes",
+    ),
+    pytest.param(
+        _crafted(oracles.BURN), _schema_failure("schema:missing-burns"), id="missing-burns"
+    ),
+    pytest.param(
+        _crafted(oracles.BURN, burns=_VCH_ISS),
+        _schema_failure("schema:burns-not-issuer"),
+        id="burns-not-issuer",
+    ),
+]
+
+
 class TestInspect:
     def test_valid_attest(self, keyfiles, tmp_path, run):
         alice_seed, _ = keyfiles["alice"]
@@ -180,6 +254,13 @@ class TestInspect:
         doc = json.loads(stdout)
         assert doc["schema"] == "zicg/1"
         assert doc["validity"]["ok"] is True
+
+    @pytest.mark.parametrize("wire, want", _VALIDITY_CASES)
+    def test_json_validity_object(self, tmp_path, run, wire, want):
+        code, stdout, err = run("inspect", write(tmp_path / "t.jwt", wire + "\n"), "--json")
+        assert (code, err) == (0, "")
+        fields = ("ok", "sig_ok", "id_ok", "schema_ok", "reasons")
+        assert json.loads(stdout)["validity"] == dict(zip(fields, want))
 
 
 class TestResolve:
@@ -504,10 +585,12 @@ class TestSplitVerify:
 
 
 def test_cli_import_skips_keygen_and_issuance_modules():
-    """Only key generation and issuance need these; every CLI start would pay for them."""
+    """Starting the CLI needs none of these (key generation, issuance and
+    forked verification import what they use); every CLI start would pay for them."""
     script = (
         "import sys, vouchsafe.cli; "
-        "print(sorted({'uuid', 'cryptography.hazmat.primitives.serialization'} & set(sys.modules)))"
+        "print(sorted({'uuid', 'cryptography.hazmat.primitives.serialization', 'pickle', 'signal', "
+        "'logging'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(

@@ -282,6 +282,19 @@ class TestVerify:
         assert [verify(t) for t in tokens] == cold
         assert vouchsafe.tokens._issuer_key.cache_info().hits - hits == len(tokens)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_report_is_its_reasons(self, seed):
+        """Valid exactly without reasons; each reason names its check, and a
+        check passed exactly when it gave none."""
+        for wire in generators.random_wire_mix(random.Random(seed), 8):
+            report = verify(decode(wire))
+            assert report.ok == (not report.reasons)
+            assert all(r.startswith(("sig:", "id:", "schema:")) for r in report.reasons)
+            flags = {"sig:": report.sig_ok, "id:": report.id_ok, "schema:": report.schema_ok}
+            for check, passed in flags.items():
+                assert passed == (not any(r.startswith(check) for r in report.reasons))
+
     def test_signature_segment_tamper(self, alice):
         kp, ident = alice
         t = issue_attest(kp, ident)
