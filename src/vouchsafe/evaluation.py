@@ -11,6 +11,8 @@ cached graph, marking the nodes whose unique path down carries every required
 label; that one walk yields the verdict, the reject reason and the explain
 listing.  The witness reported on accept is the shortest qualifying path,
 ties broken by the lexicographic tid sequence, making audits reproducible.
+Scopes are read from the graph, which parses each purpose once and links only
+checked references; ``path_scope`` re-derives one from tokens, as an oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import CapabilityGraph, Scope, parse_scope
+from .graph import UNCONSTRAINED, CapabilityGraph, Scope, parse_scope
 from .resolution import CleanSet
 from .tokens import _VOUCH, Token
 
@@ -112,15 +114,19 @@ def path_scope(root: TrustedPrincipal, path: list[Token] | tuple[Token, ...]) ->
     return effective.intersect(parse_scope(path[-1].claims.purpose))
 
 
-def _chain_to_subject(graph: CapabilityGraph, start: bytes, subject_tid: bytes) -> tuple[Token, ...]:
-    # Out-degree is at most one, so the forward path from any node is unique;
-    # it ends at the subject, which may itself have an onward edge.
+def _chain_to_subject(
+    graph: CapabilityGraph, start: bytes, subject_tid: bytes
+) -> tuple[tuple[Token, ...], Scope]:
+    """The unique forward path from ``start`` to the subject (which may have an
+    onward edge), and its scope: its edges' scopes and the subject's, intersected."""
     path = [graph.nodes[start]]
+    scope = UNCONSTRAINED
     tid = start
     while tid != subject_tid:
-        tid = graph.edges[tid][0]
+        tid, edge_scope = graph.edges[tid]
+        scope = scope.intersect(edge_scope)
         path.append(graph.nodes[tid])
-    return tuple(path)
+    return tuple(path), scope.intersect(graph.scopes[subject_tid])
 
 
 def _walk(
@@ -178,7 +184,7 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
     # Issuer -> the first root in configuration order that can qualify a path
     # to this subject, or None when roots with that identity exist but none
     # can.  Built in reverse so that earlier roots overwrite later ones.
-    subject_covers = parse_scope(subject.claims.purpose).covers(required)
+    subject_covers = graph.scopes[subject.tid].covers(required)
     roots: dict[str, TrustedPrincipal | None] = {}
     for r in reversed(request.roots):
         if subject_covers and r.root_scope.covers(required):
@@ -197,11 +203,9 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
         if issuer in roots:
             root = roots[issuer]
             if covers and root is not None:
-                path = _chain_to_subject(graph, tid, subject.tid)
-                return Decision(
-                    verdict=Verdict.ACCEPT,
-                    witness=Witness(path=path, effective_scope=path_scope(root, path), root=root),
-                )
+                path, scope = _chain_to_subject(graph, tid, subject.tid)
+                witness = Witness(path, root.root_scope.intersect(scope), root)
+                return Decision(verdict=Verdict.ACCEPT, witness=witness)
             rooted = True
     reason = RejectReason.SCOPE_INSUFFICIENT if rooted else RejectReason.NO_ROOTED_PATH
     return Decision(verdict=Verdict.REJECT, reason=reason, depth_limited=depth_limited)
@@ -234,9 +238,9 @@ def enumerate_paths(
         matching = roots.get(nodes[tid].claims.iss)
         if matching is None:
             continue
-        path = _chain_to_subject(graph, tid, request.subject_tid)
+        path, scope = _chain_to_subject(graph, tid, request.subject_tid)
         for root in matching:
             if len(entries) >= limit:
                 return PathReport(entries=tuple(entries), truncated=True)
-            entries.append(Witness(path=path, effective_scope=path_scope(root, path), root=root))
+            entries.append(Witness(path, root.root_scope.intersect(scope), root))
     return PathReport(entries=tuple(entries), truncated=False)

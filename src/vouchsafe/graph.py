@@ -13,6 +13,7 @@ check either way: every walk over the graph stops at a depth bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -75,6 +76,7 @@ def parse_scope(purpose: str | None) -> Scope:
 class CapabilityGraph:
     """Immutable-after-build delegation graph over surviving statements.
 
+    ``scopes`` maps each node's tid to its ``purpose``, parsed once per graph.
     ``edges`` maps a vouch tid to its (subject tid, scope) pair; a vouch has
     at most one outgoing edge.  ``reverse_edges`` inverts that for backward
     search.  ``diagnostics`` records vouches whose reference nearly matched a
@@ -82,6 +84,7 @@ class CapabilityGraph:
     """
 
     nodes: dict[bytes, Token] = field(default_factory=dict)
+    scopes: dict[bytes, Scope] = field(default_factory=dict)
     edges: dict[bytes, tuple[bytes, Scope]] = field(default_factory=dict)
     reverse_edges: dict[bytes, list[bytes]] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
@@ -105,9 +108,11 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     as an isolated node: an endorsement of nothing delegates nothing.
     """
     graph = CapabilityGraph()
+    parse = functools.cache(parse_scope)  # one shared Scope per distinct purpose
     for token in clean.tokens:
         if token.claims.kind in _STATEMENT_KINDS:
             graph.nodes[token.tid] = token
+            graph.scopes[token.tid] = parse(token.claims.purpose)
 
     for tid, token in graph.nodes.items():
         if token.claims.kind is not _VOUCH:
@@ -123,7 +128,7 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
             and subject.claims.jti == c.sub
             and subject.claims.iss == c.vch_iss
         ):
-            graph.edges[tid] = (subject.tid, parse_scope(c.purpose))
+            graph.edges[tid] = (subject.tid, graph.scopes[tid])
             graph.reverse_edges.setdefault(subject.tid, []).append(tid)
             continue
         # No edge.  If some present statement matches the (issuer, jti)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,6 +119,8 @@ class Identity:
 def generate_keypair(seed: bytes | None = None) -> KeyPair:
     """Create a keypair from a 32-byte seed, or from secure randomness."""
     if seed is None:
+        import secrets  # here, not at module level: it pulls in hmac, which verifiers never use
+
         seed = secrets.token_bytes(32)
     elif len(seed) != 32:
         raise IdentityError(f"seed must be exactly 32 bytes, got {len(seed)}")

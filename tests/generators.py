@@ -111,10 +111,28 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
     return kept if kept else [rng.choice(tokens)]
 
 
+def _bad_schema_wire(rng: random.Random, urn: str) -> str:
+    """A well-signed token that breaks its kind's schema, one shape per
+    ``schema:`` reason (a burn naming another subject gives two)."""
+    digest = rng.getrandbits(256).to_bytes(32, "big").hex()
+    kind, claims = rng.choice([
+        (oracles.ATTEST, {"sub": "elsewhere"}),  # sub-not-self
+        (oracles.BURN, {"sub": "elsewhere"}),  # sub-not-self, missing-burns
+        (oracles.ATTEST, {"jti": ""}),  # empty-jti
+        (oracles.VOUCH, {"sub": "elsewhere", "vch_sum": digest}),  # missing-vch-iss
+        (oracles.VOUCH, {"sub": "elsewhere", "vch_iss": urn}),  # missing-vch-sum
+        (oracles.VOUCH, {"sub": "elsewhere", "vch_iss": urn, "vch_sum": digest[:40]}),  # vch-sum-not-hex64
+        (oracles.REVOKE, {"sub": "elsewhere", "vch_iss": urn, "vch_sum": digest}),  # missing-revokes
+        (oracles.BURN, {"burns": "urn:vouchsafe:someone-else"}),  # burns-not-issuer
+    ])
+    return craft(rng, urn, kind, **claims).wire
+
+
 def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
     """Wires that all decode but not all verify: honest attests and vouches
-    mixed with bad signatures, keys foreign to the claimed issuer, and bad
-    kind schemas."""
+    mixed with bad signatures, keys foreign to the claimed issuer, unparseable
+    keys and issuers, a non-EdDSA header, and bad kind schemas.  Over a few
+    hundred wires every reason ``verify`` gives occurs."""
     honest: list[vs.Token] = []
     wires: list[str] = []
     for _ in range(size):
@@ -123,7 +141,9 @@ def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
         label = ident.urn.split(":", 2)[2].rsplit(".", 1)[0]
         other = _POOL_SEEDS[rng.randrange(len(_POOL_SEEDS))]
         jti = str(uuid.UUID(int=rng.getrandbits(128), version=4))
-        move = rng.choice(["honest", "honest", "bad_sig", "foreign_key", "bad_schema"])
+        move = rng.choice(
+            ["honest", "honest", "bad_sig", "foreign_key", "unparseable", "bad_schema"]
+        )
         if move == "honest":
             if honest and rng.random() < 0.5:
                 token = vs.issue_vouch(kp, ident, rng.choice(honest), purpose=random_purpose(rng))
@@ -144,9 +164,18 @@ def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
                 foreign = oracles.standard_claims(other, label, oracles.ATTEST, jti)
                 foreign["iss"] = claims["iss"]
                 wires.append(oracles.craft_wire(other, foreign))
+        elif move == "unparseable":
+            claims = oracles.standard_claims(seed, label, oracles.ATTEST, jti)
+            defect = rng.choice(["alg", "iss_key", "iss"])
+            if defect == "iss_key":
+                claims["iss_key"] = "AAAA"  # sig:iss-key-unparseable, id:unparseable
+            elif defect == "iss":
+                claims["iss"] = f"urn:vouchsafe:{label}"  # no digest: id:unparseable
+            # A correct EdDSA signature under another claimed alg: sig:alg-not-eddsa.
+            alg = "ES256" if defect == "alg" else "EdDSA"
+            wires.append(oracles.craft_wire(seed, claims, alg=alg))
         else:
-            kind = rng.choice([oracles.ATTEST, oracles.BURN])
-            wires.append(craft(rng, ident.urn, kind, sub="elsewhere").wire)
+            wires.append(_bad_schema_wire(rng, ident.urn))
     return wires
 
 

@@ -30,14 +30,15 @@ def b64url(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).decode().rstrip("=")
 
 
-def craft_wire(seed: bytes, claims: dict) -> str:
+def craft_wire(seed: bytes, claims: dict, alg: str = "EdDSA") -> str:
     """Sign an arbitrary claims dict into compact wire text.
 
     The caller supplies every claim verbatim, including iss and iss_key, so
-    malformed or adversarial layouts can be produced at will.
+    malformed or adversarial layouts can be produced at will; ``alg`` is the
+    header's claimed algorithm, whatever key actually signs.
     """
     key = Ed25519PrivateKey.from_private_bytes(seed)
-    header = b64url(json.dumps({"alg": "EdDSA", "typ": "JWT"}, separators=(",", ":")).encode())
+    header = b64url(json.dumps({"alg": alg, "typ": "JWT"}, separators=(",", ":")).encode())
     payload = b64url(json.dumps(claims, separators=(",", ":")).encode())
     sig = key.sign(f"{header}.{payload}".encode("ascii"))
     return f"{header}.{payload}.{b64url(sig)}"

@@ -333,6 +333,92 @@ class TestGraphReuse:
         assert len(graph_builds) == 1 and graph_builds[0] is clean
 
 
+def _shared_identity_roots(rng, tokens):
+    """Random roots plus, for one identity among them, extra roots of other
+    scopes, so several roots share that identity."""
+    roots_raw = generators.random_roots(rng)
+    urn = rng.choice([rng.choice(tokens).claims.iss, roots_raw[0][0]])
+    for _ in range(rng.randint(1, 3)):
+        roots_raw.insert(rng.randint(0, len(roots_raw)), (urn, generators.random_roots(rng)[0][1]))
+    return generators.as_principals(roots_raw)
+
+
+class TestScopesFromGraph:
+    """Witness and explain scopes come from the graph's parsed edges and node
+    scopes; ``path_scope`` over the tokens alone is the oracle for them."""
+
+    def test_every_entry_and_witness_scope_equals_path_scope(self):
+        rng = random.Random(48)
+        shared = truncated = accepted = 0
+        for i in range(600):
+            if i % 2:
+                tokens = generators.random_token_set(rng)
+            else:
+                tokens = generators.random_delegation_tree(rng)
+            subject_tid = generators.random_subject_tid(rng, tokens)
+            roots = _shared_identity_roots(rng, tokens)
+            request = Request(subject_tid, generators.random_required(rng), roots)
+            clean = clean_of(tokens)
+            max_depth = (1, 2, 64)[i % 3]
+            d = evaluate(clean, request, max_depth=max_depth)
+            if d.verdict is Verdict.ACCEPT:
+                accepted += 1
+                assert d.witness.effective_scope == path_scope(d.witness.root, d.witness.path)
+            report = enumerate_paths(clean, request, limit=rng.randint(1, 6), max_depth=max_depth)
+            truncated += report.truncated
+            for entry in report.entries:
+                assert entry.effective_scope == path_scope(entry.root, entry.path)
+            issuers = [e.root.identity for e in report.entries]
+            shared += len(issuers) != len(set(issuers))
+        assert min(shared, truncated, accepted) >= 20
+
+    def test_requests_parse_no_scope_and_never_call_path_scope(self, monkeypatch):
+        import vouchsafe.evaluation
+        import vouchsafe.graph
+
+        rng = random.Random(49)
+        cases = []
+        for _ in range(40):
+            tokens = generators.random_delegation_tree(rng, size=24)
+            requests = [
+                Request(
+                    generators.random_subject_tid(rng, tokens),
+                    generators.random_required(rng),
+                    _shared_identity_roots(rng, tokens),
+                )
+                for _ in range(15)
+            ]
+            clean = clean_of(tokens)
+            want = [(evaluate(clean, r), enumerate_paths(clean, r, limit=4)) for r in requests]
+            cases.append((tokens, requests, want))
+
+        def no_path_scope(root, path):
+            raise AssertionError("path_scope called on the request path")
+
+        parsed = []
+        real_parse = vouchsafe.graph.parse_scope
+
+        def counted_parse(purpose):
+            parsed.append(purpose)
+            return real_parse(purpose)
+
+        monkeypatch.setattr(vouchsafe.evaluation, "path_scope", no_path_scope)
+        monkeypatch.setattr(vouchsafe.graph, "parse_scope", counted_parse)
+        monkeypatch.setattr(vouchsafe.evaluation, "parse_scope", counted_parse)
+        for tokens, requests, want in cases:
+            clean = clean_of(tokens)
+            parsed.clear()
+            got = [(evaluate(clean, r), enumerate_paths(clean, r, limit=4)) for r in requests]
+            assert got == want
+            # The graph build parsed each distinct purpose once; requests parse none.
+            assert len(parsed) == len(set(parsed)) <= len(clean.graph.nodes)
+            built = len(parsed)
+            for r in requests * 3:
+                evaluate(clean, r)
+                enumerate_paths(clean, r)
+            assert len(parsed) == built
+
+
 class TestAttenuation:
     def test_extension_never_grows_scope(self):
         rng = random.Random(43)

@@ -209,6 +209,7 @@ def test_planted_cycle_walks_terminate(alice, root):
     clean = resolve(TokenSet([a, v]))
     vars(clean)["graph"] = CapabilityGraph(
         nodes={a.tid: a, v.tid: v},
+        scopes={a.tid: UNCONSTRAINED, v.tid: UNCONSTRAINED},
         edges={v.tid: (a.tid, UNCONSTRAINED), a.tid: (v.tid, UNCONSTRAINED)},
         reverse_edges={a.tid: [v.tid], v.tid: [a.tid]},
     )

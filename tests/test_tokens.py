@@ -1,9 +1,11 @@
 import base64
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -294,6 +296,18 @@ class TestVerify:
             flags = {"sig:": report.sig_ok, "id:": report.id_ok, "schema:": report.schema_ok}
             for check, passed in flags.items():
                 assert passed == (not any(r.startswith(check) for r in report.reasons))
+
+    def test_wire_mix_reaches_every_reason(self):
+        """Every reason ``verify`` can give occurs over these seeds, so each
+        property built on ``random_wire_mix`` exercises every check."""
+        source = inspect.getsource(vouchsafe.tokens)
+        emitted = set(re.findall(r'"((?:sig|id|schema):[a-z0-9-]+)"', source))
+        seen = set()
+        for seed in range(20):
+            for wire in generators.random_wire_mix(random.Random(seed), 20):
+                seen.update(verify(decode(wire)).reasons)
+        assert len(emitted) == 13
+        assert seen == emitted
 
     def test_signature_segment_tamper(self, alice):
         kp, ident = alice
