@@ -1,0 +1,28 @@
+"""Byte identity against the golden corpus in ``tests/golden/``.
+
+Each case of ``tests/golden/cases.txt`` runs ``vouchsafe.cli.main`` in-process
+with that directory as the working directory, and its exit code, stdout and
+stderr must equal ``tests/golden/expected/NN.txt`` byte for byte.  After an
+intended output change, rewrite them with ``tests/golden/regen.py`` and
+review the diff.
+"""
+
+import pytest
+
+from golden import regen
+
+CASES = regen.cases()
+
+
+def test_every_case_has_one_expected_file():
+    assert sorted(p.name for p in regen.EXPECTED.glob("*.txt")) == [
+        regen.expected_path(i).name for i in range(len(CASES))
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: regen.expected_path(i).stem)
+def test_case_output_is_unchanged(index, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(regen.GOLDEN)
+    got = regen.run_case(CASES[index])
+    assert got == regen.expected_path(index).read_text(encoding="utf-8")
