@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .graph import Scope, parse_scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
-from .resolution import CleanSet, RejectedToken, TokenSet, filter_valid, resolve
+from .resolution import CleanSet, TokenSet, filter_valid, resolve
 from .tokens import (
     _OPTIONAL_CLAIMS,
     DecodeError,
@@ -211,50 +211,36 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _load_pipeline(paths: list[str], now: int | None) -> tuple[Bundle, Bundle, TokenSet, list[RejectedToken], CleanSet]:
+def _load_pipeline(paths: list[str], now: int | None) -> tuple[Bundle, Bundle, TokenSet, CleanSet]:
     try:
         bundle = load_bundle(paths)
     except OSError as exc:
         raise DataError(f"cannot read bundle: {exc}") from exc
     filtered = temporal_filter(bundle, now)
-    valid, rejected = filter_valid(filtered.tokens)
-    clean = resolve(valid)
-    return bundle, filtered, valid, rejected, clean
+    valid, _ = filter_valid(filtered.tokens)
+    return bundle, filtered, valid, resolve(valid)
 
 
-def _omissions(
-    bundle: Bundle, filtered: Bundle, valid: TokenSet, rejected: list[RejectedToken], clean: CleanSet, now: int | None
-) -> list[dict]:
-    out = []
-    for token in bundle.tokens:
-        if token.tid in filtered.tokens:
-            continue
-        expired = token.claims.exp is not None and now is not None and token.claims.exp <= now
-        out.append(
-            {
-                "tid": token.tid_hex,
-                "kind": token.claims.kind.value,
-                "reason": "EXPIRED" if expired else "NOT_YET_VALID",
-            }
-        )
-    for item in rejected:
-        out.append(
-            {
-                "tid": item.token.tid_hex,
-                "kind": item.token.claims.kind.value,
-                "reason": "INVALID",
-                "detail": sorted(item.report.reasons),
-            }
-        )
-    for token in valid:
+def _fates(bundle: Bundle, filtered: Bundle, clean: CleanSet, now: int | None) -> tuple[list[Token], list[dict]]:
+    """Each bundle token's one fate, in tid order: kept, or omitted by the stage that dropped it."""
+    surviving: list[Token] = []
+    omitted: list[dict] = []
+    for token in sorted(bundle.tokens, key=lambda t: t.tid):
         if token.tid in clean.tokens:
+            surviving.append(token)
             continue
-        if token.claims.iss in clean.burned_identities:
-            reason = "BURNED"
+        c = token.claims
+        entry = {"tid": token.tid_hex, "kind": c.kind.value}
+        if token.tid not in filtered.tokens:
+            expired = c.exp is not None and now is not None and c.exp <= now
+            entry["reason"] = "EXPIRED" if expired else "NOT_YET_VALID"
+        elif not token.validity.ok:
+            entry["reason"] = "INVALID"
+            entry["detail"] = sorted(token.validity.reasons)
         else:
-            reason = "REVOKED"
-        out.append({"tid": token.tid_hex, "kind": token.claims.kind.value, "reason": reason})
-    return sorted(out, key=lambda d: d["tid"])
+            entry["reason"] = "BURNED" if c.iss in clean.burned_identities else "REVOKED"
+        omitted.append(entry)
+    return surviving, omitted
 
 
 def _diagnostics_json(bundle: Bundle, valid: TokenSet) -> list:
@@ -268,9 +254,8 @@ def _diagnostics_json(bundle: Bundle, valid: TokenSet) -> list:
 
 
 def cmd_resolve(args) -> int:
-    bundle, filtered, valid, rejected, clean = _load_pipeline(args.bundle, args.now)
-    surviving = sorted(clean.tokens, key=lambda t: t.tid)
-    omitted = _omissions(bundle, filtered, valid, rejected, clean, args.now)
+    bundle, filtered, valid, clean = _load_pipeline(args.bundle, args.now)
+    surviving, omitted = _fates(bundle, filtered, clean, args.now)
     if args.json:
         doc = {
             "schema": SCHEMA,
@@ -339,7 +324,7 @@ def cmd_evaluate(args) -> int:
     except (OSError, TrustConfigError) as exc:
         raise UsageError(str(exc)) from exc
     required = frozenset(label for chunk in args.require for label in chunk.split())
-    bundle, filtered, valid, rejected, clean = _load_pipeline(args.bundle, args.now)
+    *_, clean = _load_pipeline(args.bundle, args.now)
     request = Request(
         subject_tid=_subject_tid(args.subject),
         required=required,
