@@ -104,8 +104,12 @@ class CapabilityGraph:
 def build_graph(clean: CleanSet) -> CapabilityGraph:
     """Construct the delegation graph from a resolved token set.
 
-    A vouch whose subject is absent (never supplied, omitted, or forged) stays
-    as an isolated node: an endorsement of nothing delegates nothing.
+    A vouch gets an edge exactly when its subject reference equals a node's
+    ``(jti, iss, tid_hex)``: ``vch_sum`` must be the lower-case hex of the
+    subject's tid, character for character, which is the link that
+    :func:`~vouchsafe.evaluation.path_scope` accepts.  A vouch whose subject
+    is absent (never supplied, omitted, or forged) stays as an isolated node:
+    an endorsement of nothing delegates nothing.
     """
     graph = CapabilityGraph()
     parse = functools.cache(parse_scope)  # one shared Scope per distinct purpose
@@ -125,6 +129,7 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
         subject = graph.nodes.get(subject_tid) if subject_tid else None
         if (
             subject is not None
+            and subject.tid_hex == c.vch_sum
             and subject.claims.jti == c.sub
             and subject.claims.iss == c.vch_iss
         ):

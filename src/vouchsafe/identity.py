@@ -28,8 +28,8 @@ DIGEST_LENGTH = 52  # ceil(256 / 5) base32 symbols, unpadded
 # Labels: 1-64 chars of lowercase ASCII letters, digits, hyphen.  "." is the
 # label/digest separator and must never appear; uppercase is rejected to avoid
 # case-folding ambiguity.
-_LABEL_RE = re.compile(r"^[a-z0-9-]{1,64}$")
-_DIGEST_RE = re.compile(r"^[a-z2-7]{52}$")
+_LABEL_RE = re.compile(r"[a-z0-9-]{1,64}")
+_DIGEST_RE = re.compile(r"[a-z2-7]{52}")
 
 # The only DER encoding accepted for Ed25519 public keys: the standard 44-byte
 # SubjectPublicKeyInfo structure.  The first 12 bytes are a fixed algorithm
@@ -135,7 +135,7 @@ def derive_identity(pk: PublicKey, label: str) -> Identity:
     encodings of the same key derive the same digest, and the label can be
     changed without touching the binding (producing a distinct principal).
     """
-    if not _LABEL_RE.match(label):
+    if not _LABEL_RE.fullmatch(label):
         raise IdentityError(
             f"invalid label {label!r}: need 1-64 chars of lowercase letters, digits, hyphen"
         )
@@ -150,9 +150,9 @@ def parse_identity(urn: str) -> Identity:
     label, sep, digest = rest.rpartition(".")
     if not sep:
         raise IdentityError(f"identity has no label/digest separator: {urn!r}")
-    if not _LABEL_RE.match(label):
+    if not _LABEL_RE.fullmatch(label):
         raise IdentityError(f"invalid label in identity: {urn!r}")
-    if not _DIGEST_RE.match(digest):
+    if not _DIGEST_RE.fullmatch(digest):
         raise IdentityError(
             f"digest must be {DIGEST_LENGTH} lowercase base32 chars: {urn!r}"
         )

@@ -66,7 +66,7 @@ _INT_CLAIMS = _OPTIONAL_CLAIMS[-3:]
 _STRING_CLAIMS = _UNIVERSAL_CLAIMS + _OPTIONAL_CLAIMS[:-3]
 RESERVED_CLAIMS = frozenset(("kind",) + _UNIVERSAL_CLAIMS + _OPTIONAL_CLAIMS)
 
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+_HEX64_RE = re.compile(r"[0-9a-f]{64}")
 
 
 class TokenError(ValueError):
@@ -518,7 +518,7 @@ def _check_schema(token: Token, reasons: list[str]) -> None:
             reasons.append("schema:missing-vch-iss")
         if c.vch_sum is None:
             reasons.append("schema:missing-vch-sum")
-        elif not _HEX64_RE.match(c.vch_sum):
+        elif not _HEX64_RE.fullmatch(c.vch_sum):
             reasons.append("schema:vch-sum-not-hex64")
     if kind is _REVOKE and c.revokes is None:
         reasons.append("schema:missing-revokes")

@@ -409,6 +409,15 @@ class TestTrustConfig:
         with pytest.raises(TrustConfigError):
             load_trust_config(path)
 
+    @pytest.mark.parametrize(
+        "urn", [f"urn:vouchsafe:r\n.{D0}", f"urn:vouchsafe:r.{D0}\n"], ids=["label", "digest"]
+    )
+    def test_urn_with_trailing_newline_rejected(self, tmp_path, urn):
+        path = tmp_path / "trust.json"
+        path.write_text(json.dumps([{"identity": urn, "scope": "*"}]))
+        with pytest.raises(TrustConfigError):
+            load_trust_config(path)
+
     def test_invalid_urn_rejected(self, tmp_path):
         path = tmp_path / "trust.json"
         path.write_text(json.dumps([{"identity": "urn:vouchsafe:bad", "scope": "*"}]))

@@ -398,6 +398,14 @@ class TestEvaluate:
         code, _, err = run("evaluate", bundle, "--trust", trust, "--subject", a_path)
         assert code == 2
 
+    def test_trust_urn_with_trailing_newline_exits_2(self, chain_setup, keyfiles, tmp_path, run):
+        bundle, _, a_path, _ = chain_setup
+        _, root_urn = keyfiles["root"]
+        trust = write(tmp_path / "nl.json", json.dumps([{"identity": root_urn + "\n", "scope": "*"}]))
+        code, stdout, err = run("evaluate", bundle, "--trust", trust, "--subject", a_path)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and "root #0" in err
+
     @pytest.mark.parametrize("content", [b"[\xff]", b"[" * 100000], ids=["not-utf-8", "deep"])
     def test_unreadable_trust_config_exit_2(self, chain_setup, tmp_path, run, content):
         bundle, _, a_path, _ = chain_setup

@@ -17,12 +17,15 @@ from vouchsafe import (
     decode,
     enumerate_paths,
     evaluate,
+    filter_valid,
     issue_attest,
     issue_burn,
     issue_revoke,
     issue_vouch,
     parse_scope,
+    path_scope,
     resolve,
+    verify,
 )
 
 import generators
@@ -197,6 +200,57 @@ class TestGraphProperties:
                 while tid in g.edges:
                     tid, hops = g.edges[tid][0], hops + 1
                     assert hops <= len(g.nodes)
+
+
+def _non_canonical(rng: random.Random, tid_hex: str) -> str:
+    """Spellings of a tid that ``bytes.fromhex`` reads as the same bytes."""
+    variants = [tid_hex.upper(), tid_hex[:32] + tid_hex[32:].upper(), tid_hex + "\n", " " + tid_hex,
+                tid_hex + " ", "\t" + tid_hex + "\n"]
+    return rng.choice([v for v in variants if v != tid_hex])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_edges_are_exactly_path_scope_links(seed):
+    """Unfiltered sets (as handed to ``resolve`` directly) may hold vouches
+    whose ``vch_sum`` spells the subject's tid non-canonically: none gets an
+    edge, one whose subject survives is a near-miss, and every edge's two-node
+    path is a delegation link that ``path_scope`` accepts."""
+    rng = random.Random(seed)
+    tokens = generators.random_token_set(rng)
+    tokens.append(generators.craft(rng, generators.POOL[0][1].urn, oracles.ATTEST))
+    statements = [t for t in tokens if t.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH)]
+    crafted = []
+    for _ in range(rng.randint(1, 3)):
+        subject = rng.choice(statements)
+        _, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+        crafted.append(generators.craft(
+            rng, ident.urn, oracles.VOUCH, sub=subject.claims.jti, vch_iss=subject.claims.iss,
+            vch_sum=_non_canonical(rng, subject.tid_hex),
+        ))
+    clean = resolve(TokenSet(tokens + crafted))
+    g = build_graph(clean)
+    for src, (dst, _) in g.edges.items():
+        voucher = g.nodes[src]
+        path_scope(TrustedPrincipal(voucher.claims.iss, UNCONSTRAINED), [voucher, g.nodes[dst]])
+    for v in crafted:
+        assert v.tid not in g.edges
+        if v.tid in g.nodes and clean.tokens.by_statement(v.claims.vch_iss, v.claims.sub):
+            assert any(d.startswith(f"vouch {v.tid_hex} ") for d in g.diagnostics)
+
+
+def test_newline_vch_sum_vouch_is_invalid_and_rejects():
+    (kp_s, ident_s), (_, ident_r) = generators.POOL[1], generators.POOL[0]
+    subject = issue_attest(kp_s, ident_s)
+    vouch = generators.craft(
+        random.Random(3), ident_r.urn, oracles.VOUCH, sub=subject.claims.jti,
+        vch_iss=ident_s.urn, vch_sum=subject.tid_hex + "\n",
+    )
+    assert verify(vouch).reasons == ("schema:vch-sum-not-hex64",)
+    valid, rejected = filter_valid(TokenSet([subject, vouch]))
+    assert [r.token for r in rejected] == [vouch]
+    request = Request(subject.tid, frozenset(), (TrustedPrincipal(ident_r.urn, UNCONSTRAINED),))
+    assert evaluate(resolve(valid), request).reason is RejectReason.NO_ROOTED_PATH
 
 
 def test_planted_cycle_walks_terminate(alice, root):

@@ -77,7 +77,7 @@ class TestLabelGrammar:
         assert derive_identity(PublicKey.from_raw(bytes(32)), label).label == label
 
     @pytest.mark.parametrize(
-        "label", ["", "Alice", "a.b", "x" * 65, "sp ace", "umläut", "under_score"]
+        "label", ["", "Alice", "a.b", "x" * 65, "sp ace", "umläut", "under_score", "alice\n"]
     )
     def test_bad_labels(self, label):
         with pytest.raises(IdentityError):
@@ -117,6 +117,13 @@ class TestParse:
     def test_empty_label(self):
         with pytest.raises(IdentityError):
             parse_identity(f"urn:vouchsafe:.{D0}")
+
+    @pytest.mark.parametrize(
+        "urn", [f"urn:vouchsafe:alice\n.{D0}", f"urn:vouchsafe:alice.{D0}\n"], ids=["label", "digest"]
+    )
+    def test_trailing_newline_rejected(self, urn):
+        with pytest.raises(IdentityError):
+            parse_identity(urn)
 
 
 class TestBinding:

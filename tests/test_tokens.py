@@ -362,6 +362,15 @@ class TestVerify:
         report = verify(decode(oracles.craft_wire(seed, claims)))
         assert not report.schema_ok
 
+    def test_vch_sum_with_trailing_newline_is_not_hex64(self):
+        seed = b"\x11" * 32
+        claims = oracles.standard_claims(
+            seed, "alice", "vch:vouch", "j1", sub="j0",
+            vch_iss="urn:vouchsafe:x." + "a" * 52, vch_sum="0" * 64 + "\n",
+        )
+        report = verify(decode(oracles.craft_wire(seed, claims)))
+        assert report.reasons == ("schema:vch-sum-not-hex64",)
+
 
 # URL-safe alphabet, then what a segment must not hold: padding, the standard
 # alphabet's two symbols, whitespace, non-ASCII text and an undecodable byte.
