@@ -17,7 +17,7 @@ import generators
 import oracles
 import vouchsafe.cli
 import vouchsafe.resolution
-from vouchsafe import TokenKind, TokenSet, decode, filter_valid, resolve, verify
+from vouchsafe import TokenKind, TokenSet, decode, filter_valid, load_bundle, resolve, temporal_filter, verify
 from vouchsafe.cli import main
 
 
@@ -620,6 +620,49 @@ class TestNeverExitOneWithoutReject:
         code, stdout, err = run("resolve", str(bundle))
         assert code == 3
         assert (stdout, err) == ("", "error: unexpected RuntimeError: internal failure\n")
+
+
+@given(seed=st.integers(0, 2**32 - 1), now=st.sampled_from([None, 120, 400]))
+@settings(max_examples=40, deadline=None)
+def test_resolve_fates_partition_the_bundle(tmp_path_factory, seed, now):
+    """Each token of the bundle is kept or has exactly one omission entry, and
+    each entry's reason agrees with the stage outputs."""
+    rng = random.Random(seed)
+    wires = [t.wire for t in generators.random_token_set(rng, max_tokens=10)]
+    wires += generators.random_wire_mix(rng, 6)
+    for _ in range(rng.randint(1, 2)):
+        _, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+        wires.append(generators.craft(rng, ident.urn, oracles.ATTEST, exp=rng.choice([100, 200, 500])).wire)
+        wires.append(generators.craft(rng, ident.urn, oracles.ATTEST, nbf=rng.choice([50, 300, 450])).wire)
+    lines = wires + [rng.choice(wires), json.dumps(rng.choice(wires)), "garbage"]
+    rng.shuffle(lines)
+    path = tmp_path_factory.getbasetemp() / "fates.jsonl"  # rewritten by every example
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["resolve", str(path), "--json"] + ([] if now is None else ["--now", str(now)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+
+    bundle = load_bundle([path])
+    filtered = temporal_filter(bundle, now)
+    valid, rejected = filter_valid(filtered.tokens)
+    clean = resolve(valid)
+    surviving = {e["tid"] for e in doc["surviving"]}
+    omitted = {e["tid"]: e["reason"] for e in doc["omitted"]}
+    assert len(doc["surviving"]) + len(doc["omitted"]) == len(bundle.tokens)
+    assert (len(surviving), len(omitted)) == (len(doc["surviving"]), len(doc["omitted"]))
+    rejected_tids = {r.token.tid for r in rejected}
+    for token in bundle.tokens:
+        assert (token.tid_hex in surviving) != (token.tid_hex in omitted)
+        if token.tid_hex in surviving:
+            assert token.tid in clean.tokens
+            continue
+        reason = omitted[token.tid_hex]
+        assert (reason in ("EXPIRED", "NOT_YET_VALID")) == (token.tid not in filtered.tokens)
+        assert (reason == "INVALID") == (token.tid in rejected_tids)
+        if reason in ("BURNED", "REVOKED"):
+            assert (reason == "BURNED") == (token.claims.iss in clean.burned_identities)
 
 
 _CHAIN, _, _SUBJECT, _, _ROOTS = generators.accepting_instance(random.Random(5))
