@@ -21,7 +21,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet
-from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _live_token, decode
+from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _live, decode
 
 
 class TrustConfigError(ValueError):
@@ -63,7 +63,7 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
         name = str(path)
         for lineno, line in enumerate([text] if single else text.splitlines(), start=1):
             line = line.strip()
-            token = _live_token(line)
+            token = _live.get(line)
             if token is None:
                 if not line and not single:
                     continue
@@ -85,9 +85,6 @@ def _read_line(diagnostics: list[BundleDiagnostic], source: str, lineno: int, li
             line = json.loads(line)
         except json.JSONDecodeError:
             diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="bad-json-string"))
-            return None
-        if not isinstance(line, str):
-            diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-a-string"))
             return None
         read = decode  # the unquoted wire may still have a live Token
     try:

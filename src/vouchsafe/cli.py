@@ -25,6 +25,7 @@ from .bundles import (
     temporal_filter,
 )
 from .evaluation import (
+    DEFAULT_MAX_DEPTH,
     Decision,
     PathReport,
     Request,
@@ -32,7 +33,7 @@ from .evaluation import (
     enumerate_paths,
     evaluate,
 )
-from .graph import Scope, parse_scope
+from .graph import Scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
 from .resolution import CleanSet, TokenSet, filter_valid, resolve
 from .tokens import (
@@ -231,8 +232,8 @@ def _fates(bundle: Bundle, filtered: Bundle, clean: CleanSet, now: int | None) -
             continue
         c = token.claims
         entry = {"tid": token.tid_hex, "kind": c.kind.value}
-        if token.tid not in filtered.tokens:
-            expired = c.exp is not None and now is not None and c.exp <= now
+        if token.tid not in filtered.tokens:  # so --now was given
+            expired = c.exp is not None and c.exp <= now
             entry["reason"] = "EXPIRED" if expired else "NOT_YET_VALID"
         elif not token.validity.ok:
             entry["reason"] = "INVALID"
@@ -287,7 +288,7 @@ def _subject_tid(value: str) -> bytes:
     return _read_token_file(value).tid
 
 
-def _witness_json(decision: Decision) -> dict:
+def _witness_json(decision: Decision, scopes: dict[bytes, Scope]) -> dict:
     w = decision.witness
     return {
         "root": {"identity": w.root.identity, "scope": _scope_json(w.root.root_scope)},
@@ -296,7 +297,7 @@ def _witness_json(decision: Decision) -> dict:
                 "tid": t.tid_hex,
                 "kind": t.claims.kind.value,
                 "iss": t.claims.iss,
-                "scope": _scope_json(parse_scope(t.claims.purpose)),
+                "scope": _scope_json(scopes[t.tid]),
             }
             for t in w.path
         ],
@@ -345,7 +346,7 @@ def cmd_evaluate(args) -> int:
             "verdict": decision.verdict.value,
         }
         if decision.verdict is Verdict.ACCEPT:
-            doc["witness"] = _witness_json(decision)
+            doc["witness"] = _witness_json(decision, clean.graph.scopes)
         else:
             doc["reason"] = decision.reason.value
         if decision.depth_limited:
@@ -361,7 +362,7 @@ def cmd_evaluate(args) -> int:
             print(f"ACCEPT effective_scope={w.effective_scope}")
             print(f"root {w.root.identity} scope={w.root.root_scope}")
             for t in w.path:
-                print(f"  {t.tid_hex} {t.claims.kind.value} iss={t.claims.iss} scope={parse_scope(t.claims.purpose)}")
+                print(f"  {t.tid_hex} {t.claims.kind.value} iss={t.claims.iss} scope={clean.graph.scopes[t.tid]}")
         else:
             print(f"REJECT reason={decision.reason.value}")
         if decision.depth_limited:
@@ -412,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iat", type=int, default=None)
     p.add_argument("--nbf", type=int, default=None)
     p.add_argument("--exp", type=int, default=None)
-    p.set_defaults(func=cmd_issue)
+    p.set_defaults(func=cmd_issue, usage_error=p.error)
 
     p = sub.add_parser("inspect", help="decode and verify a token file")
     p.add_argument("token", type=_path)
@@ -433,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="required capability labels (whitespace separated, repeatable)")
     p.add_argument("--explain", action="store_true", help="also list rooted paths")
     p.add_argument("--max-paths", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--now", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
@@ -445,9 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "issue":
         if args.kind == "vouch" and not args.subject:
-            parser.error("issue vouch requires --subject")
+            args.usage_error("issue vouch requires --subject")
         if args.kind == "revoke" and not args.target:
-            parser.error("issue revoke requires --target")
+            args.usage_error("issue revoke requires --target")
         allowed = {
             "attest": {"purpose", "claim", "iat", "nbf", "exp"},
             "vouch": {"purpose", "subject", "iat", "nbf", "exp"},
@@ -460,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name) not in (None, [])
         }
         for stray in sorted(given - allowed):
-            parser.error(f"issue {args.kind} does not take --{stray}")
+            args.usage_error(f"issue {args.kind} does not take --{stray}")
     if args.command == "evaluate" and (args.max_paths < 1 or args.max_depth < 0):
         parser.error("--max-paths must be at least 1 and --max-depth at least 0")
     try:

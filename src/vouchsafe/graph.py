@@ -138,13 +138,12 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
             continue
         # No edge.  If some present statement matches the (issuer, jti)
         # reference but not the content hash, flag the near-miss.
-        if c.vch_iss is not None and c.sub is not None:
-            for candidate in clean.tokens.by_statement(c.vch_iss, c.sub):
-                if candidate.tid_hex != c.vch_sum:
-                    graph.diagnostics.append(
-                        f"vouch {tid.hex()} references statement ({c.vch_iss}, {c.sub}) "
-                        f"but the content hash does not match token {candidate.tid_hex}"
-                    )
+        for candidate in clean.tokens.by_statement(c.vch_iss, c.sub):
+            if candidate.tid_hex != c.vch_sum:
+                graph.diagnostics.append(
+                    f"vouch {tid.hex()} references statement ({c.vch_iss}, {c.sub}) "
+                    f"but the content hash does not match token {candidate.tid_hex}"
+                )
     for dsts in graph.reverse_edges.values():
         dsts.sort()
     graph.diagnostics.sort()

@@ -265,13 +265,8 @@ def decode(wire: str) -> Token:
     lines.  Nothing is retained that the caller has dropped, and a one-shot
     process such as the CLI sees every wire once and gains nothing.
     """
-    token = _live_token(wire) if isinstance(wire, str) else None
+    token = _live.get(wire) if isinstance(wire, str) else None
     return _decode_unseen(wire) if token is None else token
-
-
-def _live_token(wire: str) -> Token | None:
-    """The Token :func:`decode` built from exactly this wire, if some caller still holds it."""
-    return _live.get(wire)
 
 
 def _decode_unseen(wire: str) -> Token:
@@ -341,13 +336,16 @@ def _issue(
     payload_rest: dict,
     extra: Mapping[str, Any] | None = None,
 ) -> Token:
+    """Sign the kind's claims ``payload_rest`` in the order given, leaving out
+    each one whose value is None: an absent optional claim is not emitted.
+    ``extra`` goes in as given."""
     if not validate_binding(identity, keypair.public):
         raise IssueError(f"identity {identity.urn} is not bound to the signing key")
     payload: dict[str, Any] = {
         "iss": identity.urn,
         "iss_key": keypair.public.b64,
         "kind": kind.value,
-        **payload_rest,
+        **{name: value for name, value in payload_rest.items() if value is not None},
     }
     if extra:
         for name in extra:
@@ -371,17 +369,6 @@ def _new_jti() -> str:
     return str(uuid.uuid4())
 
 
-def _times(iat: int | None, nbf: int | None, exp: int | None) -> dict:
-    out = {}
-    if iat is not None:
-        out["iat"] = iat
-    if nbf is not None:
-        out["nbf"] = nbf
-    if exp is not None:
-        out["exp"] = exp
-    return out
-
-
 def issue_attest(
     keypair: KeyPair,
     identity: Identity,
@@ -394,10 +381,7 @@ def issue_attest(
 ) -> Token:
     """Issue a self-referential assertion (``sub`` == ``jti``)."""
     jti = _new_jti()
-    rest: dict[str, Any] = {"jti": jti, "sub": jti}
-    if purpose is not None:
-        rest["purpose"] = purpose
-    rest.update(_times(iat, nbf, exp))
+    rest: dict[str, Any] = {"jti": jti, "sub": jti, "purpose": purpose, "iat": iat, "nbf": nbf, "exp": exp}
     return _issue(keypair, identity, TokenKind.ATTEST, rest, extra)
 
 
@@ -424,10 +408,11 @@ def issue_vouch(
         "sub": subject.claims.jti,
         "vch_iss": subject.claims.iss,
         "vch_sum": subject.tid_hex,
+        "purpose": purpose,
+        "iat": iat,
+        "nbf": nbf,
+        "exp": exp,
     }
-    if purpose is not None:
-        rest["purpose"] = purpose
-    rest.update(_times(iat, nbf, exp))
     return _issue(keypair, identity, TokenKind.VOUCH, rest)
 
 

@@ -150,24 +150,27 @@ def newline_sum_lines() -> list[str]:
     return [subject, _sign(0, oracles.VOUCH, "n-vouch", **ref)]
 
 
-def write_inputs() -> None:
+def input_files() -> dict[str, bytes]:
+    """Every input file's bytes, by its name in this directory."""
     w = bundle_lines()
-    (GOLDEN / "bundle.jsonl").write_bytes(bundle_bytes(w))
-    (GOLDEN / "vch-sum-newline.jsonl").write_text("".join(x + "\n" for x in newline_sum_lines()))
-    (GOLDEN / "valid.jwt").write_text(w["s"] + "\n")
-    (GOLDEN / "invalid.jwt").write_text(w["bad-key"] + "\n")
     trust = {
         "trust-a.json": [{"identity": _urn(0), "scope": "*"}, {"identity": _urn(1), "scope": ["read"]}],
         "trust-b.json": [{"identity": _urn(2), "scope": ["write"]},
                          {"identity": _urn(0), "scope": ["read", "write"]}],
     }
-    for name, roots in trust.items():
-        (GOLDEN / name).write_text(json.dumps(roots, indent=2) + "\n")
+    return {
+        "bundle.jsonl": bundle_bytes(w),
+        "vch-sum-newline.jsonl": "".join(x + "\n" for x in newline_sum_lines()).encode(),
+        "valid.jwt": (w["s"] + "\n").encode(),
+        "invalid.jwt": (w["bad-key"] + "\n").encode(),
+        **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},
+    }
 
 
 def main_regen() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
-    write_inputs()
+    for name, data in input_files().items():
+        (GOLDEN / name).write_bytes(data)
     os.chdir(GOLDEN)
     EXPECTED.mkdir(exist_ok=True)
     for old in EXPECTED.glob("*.txt"):

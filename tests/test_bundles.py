@@ -113,6 +113,63 @@ class TestLoadBundle:
         assert load_bundle([a]).tokens.tids == load_bundle([b]).tokens.tids
 
 
+# Text that is one bundle line: no character that str.splitlines breaks at, and
+# no lone surrogate, which a UTF-8 file cannot hold.
+_ONE_LINE = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+)
+_WIRES = [issue_attest(*generators.POOL[0], purpose=p).wire for p in (None, "", "read write")]
+
+
+def _quoted_line_outcome(tmp_path, line: str) -> str:
+    """Load a bundle of this one line and name what it gave: a token, or one
+    diagnostic's code with any ``decode:`` detail cut off."""
+    path = tmp_path / "q.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    bundle = load_bundle([path])
+    if len(bundle.tokens) == 1 and not bundle.diagnostics:
+        return "token"
+    assert len(bundle.tokens) == 0 and len(bundle.diagnostics) == 1, (line, bundle)
+    code = bundle.diagnostics[0].code
+    return "decode:" if code.startswith("decode: ") else code
+
+
+class TestQuotedLines:
+    """A stripped line that starts with ``"`` is a JSON string or it is not
+    JSON: it gives a token, a ``decode:`` diagnostic or ``bad-json-string``."""
+
+    @pytest.mark.parametrize(
+        "line, outcome",
+        [
+            ('"{}', "bad-json-string"),
+            ('"abc" trailing', "bad-json-string"),
+            ('"\\x"', "bad-json-string"),
+            ('""', "decode:"),
+            ('"abc"', "decode:"),
+            ('"a.b.c"', "decode:"),
+            ('"\\ud800"', "decode:"),
+            (json.dumps(_WIRES[2]), "token"),
+        ],
+    )
+    def test_literal_outcomes(self, tmp_path, line, outcome):
+        assert _quoted_line_outcome(tmp_path, line) == outcome
+
+    @given(
+        st.one_of(
+            _ONE_LINE.map(lambda text: '"' + text),
+            st.tuples(_ONE_LINE, _ONE_LINE).map(lambda p: json.dumps(p[0]) + p[1]),
+            # Quoted wires and their prefixes, then anything.
+            st.tuples(st.sampled_from(_WIRES), st.integers(0, 400), _ONE_LINE).map(
+                lambda p: json.dumps(p[0][: p[1] or None]) + p[2]
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_quoted_line_has_one_of_three_outcomes(self, tmp_path_factory, line):
+        outcome = _quoted_line_outcome(tmp_path_factory.mktemp("quoted"), line)
+        assert outcome in ("token", "decode:", "bad-json-string")
+
+
 def _ingest(paths):
     bundle = load_bundle(paths)
     return bundle, *filter_valid(bundle.tokens)
@@ -260,7 +317,7 @@ class TestReingest:
         del held, warm
         gc.collect()
         assert all(
-            vouchsafe.tokens._live_token(line.decode("utf-8", "replace").strip('"')) is None
+            vouchsafe.tokens._live.get(line.decode("utf-8", "replace").strip('"')) is None
             for line in a_lines + b_lines
         )
         assert _outcome(_stages([a, b], now)) == warm_outcome

@@ -418,6 +418,44 @@ class TestScopesFromGraph:
                 enumerate_paths(clean, r)
             assert len(parsed) == built
 
+    def test_cli_evaluate_parses_each_purpose_once(self, tmp_path, monkeypatch, capsys):
+        """``vouchsafe evaluate`` prints witness scopes from the graph: over a
+        whole run, human or ``--json``, no purpose is parsed twice."""
+        import json
+        import sys
+
+        import vouchsafe.graph
+        from vouchsafe.cli import main
+
+        parsed = []
+        real_parse = vouchsafe.graph.parse_scope
+
+        def counted_parse(purpose):
+            parsed.append(purpose)
+            return real_parse(purpose)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "vouchsafe" and getattr(module, "parse_scope", None) is real_parse:
+                monkeypatch.setattr(module, "parse_scope", counted_parse)
+        rng = random.Random(50)
+        chained = 0
+        for i in range(12):
+            tokens, chain, subject, required, roots = generators.accepting_instance(rng)
+            bundle, trust = tmp_path / f"b{i}.jsonl", tmp_path / f"t{i}.json"
+            bundle.write_text("".join(t.wire + "\n" for t in tokens))
+            trust.write_text(
+                json.dumps([{"identity": u, "scope": sorted(s) if s else "*"} for u, s in roots])
+            )
+            argv = ["evaluate", str(bundle), "--trust", str(trust), "--subject", subject.tid_hex, "--explain"]
+            argv += ["--require", " ".join(required)] if required else []
+            for form in ([], ["--json"]):
+                parsed.clear()
+                assert main(argv + form) == 0, capsys.readouterr()
+                assert "ACCEPT" in capsys.readouterr().out
+                assert parsed and len(parsed) == len(set(parsed))
+            chained += len(chain) > 1
+        assert chained >= 8
+
 
 class TestAttenuation:
     def test_extension_never_grows_scope(self):

@@ -20,6 +20,15 @@ def test_every_case_has_one_expected_file():
     ]
 
 
+def test_input_builders_reproduce_the_committed_inputs():
+    built = regen.input_files()
+    assert sorted(built) == sorted(
+        p.name for p in regen.GOLDEN.iterdir() if p.suffix in (".jsonl", ".jwt", ".json")
+    )
+    for name, data in built.items():
+        assert data == (regen.GOLDEN / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: regen.expected_path(i).stem)
 def test_case_output_is_unchanged(index, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

@@ -179,6 +179,44 @@ class TestIssueBurn:
         assert "schema:burns-not-issuer" in report.reasons
 
 
+class TestIssuedPayloadBytes:
+    """The payload segment each issuer signs, byte for byte: claim order, and
+    an absent optional claim left out while a present one (``""``, ``0``)
+    and an extra claim whose value is None are kept."""
+
+    def test_payload_segments(self, alice, monkeypatch):
+        kp, ident = alice
+        jtis = iter(["j1", "j2", "j3", "j4", "j5", "j6", "j7"])
+        monkeypatch.setattr(vouchsafe.tokens, "_new_jti", lambda: next(jtis))
+        head = f'{{"iss":"{ident.urn}","iss_key":"{kp.public.b64}"'
+
+        def payload(token):
+            segment = token.wire.split(".")[1]
+            return base64.urlsafe_b64decode(segment + "=" * (-len(segment) % 4)).decode()
+
+        a1 = issue_attest(kp, ident)
+        assert payload(a1) == head + ',"kind":"vch:attest","jti":"j1","sub":"j1"}'
+        a2 = issue_attest(kp, ident, purpose="", iat=0, nbf=20, exp=30)
+        assert payload(a2) == (
+            head + ',"kind":"vch:attest","jti":"j2","sub":"j2","purpose":"","iat":0,"nbf":20,"exp":30}'
+        )
+        a3 = issue_attest(kp, ident, "read", {"site": None, "n": 1}, exp=30)
+        assert payload(a3) == (
+            head + ',"kind":"vch:attest","jti":"j3","sub":"j3","purpose":"read","exp":30,"site":null,"n":1}'
+        )
+        ref = f'"vch_iss":"{ident.urn}","vch_sum":"{a1.tid_hex}"'
+        v1 = issue_vouch(kp, ident, a1, nbf=20)
+        assert payload(v1) == head + f',"kind":"vch:vouch","jti":"j4","sub":"j1",{ref},"nbf":20}}'
+        v2 = issue_vouch(kp, ident, a1, purpose="", iat=10, exp=30)
+        assert payload(v2) == (
+            head + f',"kind":"vch:vouch","jti":"j5","sub":"j1",{ref},"purpose":"","iat":10,"exp":30}}'
+        )
+        r = issue_revoke(kp, ident, a1)
+        assert payload(r) == head + f',"kind":"vch:revoke","jti":"j6","sub":"j1",{ref},"revokes":"j1"}}'
+        b = issue_burn(kp, ident)
+        assert payload(b) == head + f',"kind":"vch:burn","jti":"j7","sub":"j7","burns":"{ident.urn}"}}'
+
+
 class TestDecode:
     def test_two_segments(self):
         with pytest.raises(DecodeError):
