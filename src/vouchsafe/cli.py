@@ -387,6 +387,16 @@ def _path(value: str) -> str:
     return value
 
 
+def _at_least(low: int):
+    """argparse type for an int option that must be at least ``low``."""
+    def parse(value: str) -> int:
+        if int(value) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(value)
+    parse.__name__ = "int"  # so a non-number reads "invalid int value", as with type=int
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vouchsafe",
@@ -433,8 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require", action="append", default=[], metavar="LABELS",
                    help="required capability labels (whitespace separated, repeatable)")
     p.add_argument("--explain", action="store_true", help="also list rooted paths")
-    p.add_argument("--max-paths", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-paths", type=_at_least(1), default=100)
+    p.add_argument("--max-depth", type=_at_least(0), default=DEFAULT_MAX_DEPTH)
     p.add_argument("--now", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
@@ -442,8 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "issue":
         if args.kind == "vouch" and not args.subject:
             args.usage_error("issue vouch requires --subject")
@@ -462,8 +471,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         for stray in sorted(given - allowed):
             args.usage_error(f"issue {args.kind} does not take --{stray}")
-    if args.command == "evaluate" and (args.max_paths < 1 or args.max_depth < 0):
-        parser.error("--max-paths must be at least 1 and --max-depth at least 0")
     try:
         return args.func(args)
     except UsageError as exc:

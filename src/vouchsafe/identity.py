@@ -43,10 +43,6 @@ class IdentityError(ValueError):
     """Malformed identity, label, key encoding, or key file."""
 
 
-def _b32_lc_nopad(data: bytes) -> str:
-    return base64.b32encode(data).decode("ascii").rstrip("=").lower()
-
-
 @dataclass(frozen=True)
 class PublicKey:
     """An Ed25519 public key in its three wire representations.
@@ -128,6 +124,10 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     return KeyPair(seed=seed, public=PublicKey.from_raw(private.public_key().public_bytes_raw()))
 
 
+def _key_digest(pk: PublicKey) -> str:
+    return base64.b32encode(hashlib.sha256(pk.raw).digest()).decode("ascii").rstrip("=").lower()
+
+
 def derive_identity(pk: PublicKey, label: str) -> Identity:
     """Build the identity for a key under a label.
 
@@ -139,7 +139,7 @@ def derive_identity(pk: PublicKey, label: str) -> Identity:
         raise IdentityError(
             f"invalid label {label!r}: need 1-64 chars of lowercase letters, digits, hyphen"
         )
-    return Identity(label=label, digest=_b32_lc_nopad(hashlib.sha256(pk.raw).digest()))
+    return Identity(label=label, digest=_key_digest(pk))
 
 
 def parse_identity(urn: str) -> Identity:
@@ -164,7 +164,7 @@ def validate_binding(identity: Identity, pk: PublicKey) -> bool:
 
     Pure recomputation; no lookup of any kind.
     """
-    return _b32_lc_nopad(hashlib.sha256(pk.raw).digest()) == identity.digest
+    return _key_digest(pk) == identity.digest
 
 
 # ---------------------------------------------------------------------------

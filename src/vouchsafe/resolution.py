@@ -166,15 +166,13 @@ def _verify_and_send(pipe_fd: int, part: list[Token]) -> NoReturn:
     """
     import pickle
 
-    code = 1
     try:
         gc.disable()
         reports = [t.validity for t in part]
         with open(pipe_fd, "wb") as pipe:
             pickle.dump(reports, pipe)
-        code = 0
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
 def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
@@ -184,12 +182,12 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
     instead one child is forked per spare CPU (at most one per
     ``_FORK_MIN_TOKENS`` unverified tokens), each verifies a contiguous slice
     while this process verifies the first, and a child's reports are stored
-    only if it exited 0 with one report per token of its slice.  Any other
-    slice is left unverified, for the caller's serial pass.  Nothing is
-    forked without ``os.fork``, on one usable CPU, while another thread runs
-    (it could hold a lock the child would need), or unless SIGCHLD has its
-    default action (when ignored, or handled by Python code that may reap,
-    the children's exit status could be lost).
+    only if its pipe delivered one complete pickle with one report per token
+    of its slice.  Any other slice is left unverified, for the caller's serial
+    pass.  Nothing is forked without ``os.fork``, on one usable CPU, while
+    another thread runs (it could hold a lock the child would need), or
+    unless SIGCHLD has its default action (when ignored, or handled by Python
+    code that may reap, a child's pid could be reused before it is killed).
     """
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return
@@ -208,12 +206,11 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
     cuts = [len(pending) * i // n for i in range(n + 1)]
     parts = [pending[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     # Signals with a Python handler are blocked while forking, so each child
-    # starts (and stays) with them blocked, and while reaping, so that no
-    # handler's exception can separate a waitpid from the bookkeeping of
-    # ``children``, which lists exactly the children not yet reaped.
+    # keeps them blocked, and while reaping, so none can leave a child unreaped.
     handled = {s for s in signal.valid_signals() if callable(signal.getsignal(s))}
     unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, handled)
-    children: list[tuple[int, BinaryIO, list[Token]]] = []
+    children: list[tuple[int, BinaryIO]] = []
+    sent: list[bytes] = []
     try:
         for part in parts[1:]:
             try:
@@ -229,35 +226,30 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
             if pid == 0:
                 _verify_and_send(write_fd, part)
             os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), part))
+            children.append((pid, open(read_fd, "rb")))
         signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
         for t in parts[0]:
             t.validity
-        sent = [pipe.read() for _, pipe, _ in children]
-        # Every child has closed its pipe, so is exiting: waitpid is prompt.
-        signal.pthread_sigmask(signal.SIG_BLOCK, handled)
-        for data in sent:
-            pid, pipe, part = children[0]
-            pipe.close()
-            try:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            except ChildProcessError:  # reaped elsewhere: its exit status is lost
-                code = None
-            del children[0]
-            if code == 0:
-                reports = pickle.loads(data)
-                if len(reports) == len(part):
-                    for t, report in zip(part, reports):
-                        object.__setattr__(t, "_validity", report)
+        sent = [pipe.read() for _, pipe in children]
     finally:
-        for pid, pipe, _ in children:
+        signal.pthread_sigmask(signal.SIG_BLOCK, handled)
+        for pid, pipe in children:
             pipe.close()
             try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if not sent:  # interrupted: the child may still be verifying
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)  # prompt: the child closed its pipe or was killed
             except (ProcessLookupError, ChildProcessError):
                 pass
         signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+    for part, data in zip(parts[1:], sent):
+        try:
+            reports = pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError):  # cut short: no final STOP opcode
+            continue
+        if len(reports) == len(part):
+            for t, report in zip(part, reports):
+                object.__setattr__(t, "_validity", report)
 
 
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
@@ -273,9 +265,9 @@ def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
     When at least a few hundred tokens are still unverified, on a POSIX system
     with more than one usable CPU (within the cgroup's CPU quota, if any), no
     other thread running and SIGCHLD at its default action, their signatures
-    are checked in forked child processes, one per spare CPU.  This is
-    automatic and has no setting; the reports, and so the result, are exactly
-    those of verifying serially.
+    are checked in forked child processes, one per spare CPU (there is no
+    setting); any slice whose child did not send one complete report per token
+    is verified here.  The reports, and so the result, are the serial pass's.
     """
     _verify_on_spare_cpus(tokens)
     valid: list[Token] = []

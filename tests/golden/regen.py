@@ -11,10 +11,12 @@ rerunning this script on unchanged code changes no file, and the tids that
 
 ``cases.txt`` holds one ``vouchsafe`` argv per line (``#`` starts a comment).
 Case N (counting case lines from 1) is expected to print what
-``expected/NN.txt`` holds: the argv, the exit code, stdout and stderr, as
-rendered by :func:`run_case`.  Each case runs ``cli.main`` in-process with
-this directory as the working directory, so bundle paths in diagnostics are
-the relative names written here.
+``expected/NN.txt`` holds: the argv, the exit code, stdout, stderr and each
+file the case created, as rendered by :func:`run_case`.  Each case runs
+``cli.main`` in-process with a fresh temporary copy of this directory as the
+working directory, so bundle paths in diagnostics are the relative names
+written here, and a case that writes files (``keygen``) neither sees another
+case's files nor leaves its own behind.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import io
 import json
 import os
 import shlex
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
@@ -47,16 +51,30 @@ def expected_path(index: int) -> Path:
 
 
 def run_case(argv_line: str) -> str:
-    """Run one case in-process (cwd must be this directory) and render its result."""
+    """Run one case in-process in a fresh temporary copy of this directory and
+    render its result; each file the case created follows stderr, by name."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "golden"
+        shutil.copytree(GOLDEN, work, ignore=shutil.ignore_patterns("expected", "__pycache__"))
+        inputs = set(os.listdir(work))
+        os.chdir(work)
         try:
-            code = main(shlex.split(argv_line))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(shlex.split(argv_line))
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        created = "".join(
+            f"--- file {name}\n{(work / name).read_bytes().decode('utf-8')}"
+            for name in sorted(set(os.listdir(work)) - inputs)
+        )
     return (
         f"$ vouchsafe {argv_line}\nexit {code}\n"
-        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}{created}"
     )
 
 
@@ -171,7 +189,6 @@ def main_regen() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
     for name, data in input_files().items():
         (GOLDEN / name).write_bytes(data)
-    os.chdir(GOLDEN)
     EXPECTED.mkdir(exist_ok=True)
     for old in EXPECTED.glob("*.txt"):
         old.unlink()

@@ -462,11 +462,15 @@ class TestEvaluate:
         )
 
     @pytest.mark.parametrize("flag,value", [("--max-paths", "0"), ("--max-depth", "-1")])
-    def test_out_of_range_limit_exits_2(self, chain_setup, flag, value):
+    def test_out_of_range_limit_exits_2(self, chain_setup, capsys, flag, value):
         bundle, trust, a_path, _ = chain_setup
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", bundle, "--trust", trust, "--subject", a_path, "--explain", flag, value])
         assert exc.value.code == 2
+        low = {"--max-paths": 1, "--max-depth": 0}[flag]
+        assert capsys.readouterr().err.endswith(
+            f"\nvouchsafe evaluate: error: argument {flag}: must be at least {low}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,name",

@@ -1,10 +1,10 @@
 """Byte identity against the golden corpus in ``tests/golden/``.
 
 Each case of ``tests/golden/cases.txt`` runs ``vouchsafe.cli.main`` in-process
-with that directory as the working directory, and its exit code, stdout and
-stderr must equal ``tests/golden/expected/NN.txt`` byte for byte.  After an
-intended output change, rewrite them with ``tests/golden/regen.py`` and
-review the diff.
+in a fresh temporary copy of that directory, and its exit code, stdout, stderr
+and the files it created must equal ``tests/golden/expected/NN.txt`` byte for
+byte.  After an intended output change, rewrite them with
+``tests/golden/regen.py`` and review the diff.
 """
 
 import pytest
@@ -32,6 +32,5 @@ def test_input_builders_reproduce_the_committed_inputs():
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: regen.expected_path(i).stem)
 def test_case_output_is_unchanged(index, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.chdir(regen.GOLDEN)
     got = regen.run_case(CASES[index])
     assert got == regen.expected_path(index).read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import os
+import pickle
 import random
 import signal
 import threading
@@ -394,7 +395,8 @@ class TestSplitVerify:
 
     def test_child_reaped_elsewhere_is_verified_here(self, monkeypatch):
         """A child whose exit status someone else collected (waitpid raises
-        ChildProcessError) counts as failed; nothing is killed or waited twice."""
+        ChildProcessError) is tolerated: every report is still right, and
+        nothing is killed or waited for twice."""
         tokens = _fresh(generators.random_wire_mix(random.Random(12), 16))
         expected = [verify(t) for t in tokens]
         real_waitpid, real_kill, stolen, waited, killed = os.waitpid, os.kill, [], [], []
@@ -417,6 +419,54 @@ class TestSplitVerify:
         monkeypatch.undo()
         assert len(forks) == 2 and stolen
         assert len(waited) == len(set(waited)) == 2 and not killed
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+
+    def test_child_stream_cut_short_is_verified_here(self, monkeypatch):
+        """A child whose stream stops before its pickle ends (it failed or was
+        killed mid-write) sends nothing that is used, whatever its exit status:
+        its slice is verified here."""
+        tokens = _fresh(generators.random_wire_mix(random.Random(15), 16))
+        expected = [verify(t) for t in tokens]
+        real_dumps = pickle.dumps
+
+        def half_dump(obj, file, *args, **kwargs):
+            data = real_dumps(obj, *args, **kwargs)
+            file.write(data[: len(data) // 2])
+
+        monkeypatch.setattr(pickle, "dump", half_dump)
+        with _split() as forks:
+            valid, rejected = filter_valid(TokenSet(tokens))
+        assert len(forks) == 2
+        assert [t.validity for t in tokens] == expected
+        assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
+
+    def test_child_reaped_elsewhere_keeps_its_reports(self, monkeypatch):
+        """The exit status is not consulted: a child whose status someone else
+        collected sent a complete stream, so only the first slice is verified here."""
+        tokens = _fresh(generators.random_wire_mix(random.Random(12), 16))
+        expected = [verify(t) for t in tokens]
+        parent, real_verify, real_waitpid = os.getpid(), vouchsafe.tokens.verify, os.waitpid
+        verified_here, stolen = [], []
+
+        def counted(token):
+            if os.getpid() == parent:
+                verified_here.append(token)
+            return real_verify(token)
+
+        def waitpid(pid, options):
+            if not stolen:
+                stolen.append(real_waitpid(pid, options))
+                raise ChildProcessError(10, "No child processes")
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(vouchsafe.tokens, "verify", counted)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with _split() as forks:
+            valid, rejected = filter_valid(TokenSet(tokens))
+        monkeypatch.undo()
+        assert len(forks) == 2 and stolen
+        assert len(verified_here) == 5  # only the first of three slices
         assert [t.validity for t in tokens] == expected
         assert _outcome(valid, rejected) == _serial_outcome(tokens, expected)
 
