@@ -53,7 +53,7 @@ show("after alice burns herself:", resolve(TokenSet([badge, endorse, retract, bu
 # the resolved survivors back through resolution changes nothing.
 clean = resolve(TokenSet([badge, endorse, retract, burn]))
 again = resolve(TokenSet(list(clean.tokens)))
-print("\nidempotent:", clean.tokens.tids == again.tokens.tids)
+print("\nidempotent:", {t.tid for t in clean.tokens} == {t.tid for t in again.tokens})
 
 # No un-revoke exists: there is no token kind that could bring the
 # endorsement or alice's badge back.  The only way a verifier accepts them

@@ -49,7 +49,6 @@ from .resolution import (
     TokenSet,
     filter_valid,
     resolve,
-    revokes_matches,
 )
 from .tokens import (
     Claims,
@@ -115,7 +114,6 @@ __all__ = [
     "parse_scope",
     "path_scope",
     "resolve",
-    "revokes_matches",
     "save_seed",
     "temporal_filter",
     "validate_binding",

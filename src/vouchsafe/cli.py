@@ -118,10 +118,15 @@ def cmd_keygen(args) -> int:
         raise UsageError(str(exc)) from exc
     try:
         save_seed(args.out, keypair)
-        if args.pub_out:
-            Path(args.pub_out).write_text(keypair.public.to_pem(), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write key file: {exc}") from exc
+    if args.pub_out:
+        try:
+            with open(args.pub_out, "x", encoding="utf-8") as f:
+                f.write(keypair.public.to_pem())
+        except OSError as exc:
+            Path(args.out).unlink()  # leave no seed whose URN was not printed
+            raise DataError(f"cannot write key file: {exc}") from exc
     if args.json:
         doc = {"schema": SCHEMA, "command": "keygen", "identity": identity.urn, "seed_file": str(args.out)}
         if args.pub_out:
@@ -406,8 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a keypair and print the identity URN")
     p.add_argument("--label", required=True)
-    p.add_argument("--out", type=_path, required=True, help="seed file to write")
-    p.add_argument("--pub-out", type=_path, default=None, help="optionally write the public key as PEM")
+    p.add_argument("--out", type=_path, required=True, help="new seed file to create (mode 0600)")
+    p.add_argument("--pub-out", type=_path, default=None, help="optionally create a PEM public key file")
     p.add_argument("--seed-hex", default=None, help="use a fixed 32-byte seed (hex)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_keygen)

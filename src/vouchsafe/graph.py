@@ -3,7 +3,9 @@
 Nodes are the attest/vouch tokens that survive state resolution.  Each vouch
 contributes at most one directed edge toward its subject, found by content:
 the subject's tid must equal the vouch's ``vch_sum``, and its (jti, issuer)
-must match the reference.  Edges carry the vouch's scope label.
+must match the reference.  Edges carry the vouch's scope label.  A vouch
+left without an edge whose (issuer, jti) reference names present statements
+is recorded once per such statement as a near-miss.
 
 The graph is acyclic by construction: each node has at most one outgoing
 edge, and an edge commits to its subject by SHA-256 of the subject's exact
@@ -79,15 +81,17 @@ class CapabilityGraph:
     ``scopes`` maps each node's tid to its ``purpose``, parsed once per graph.
     ``edges`` maps a vouch tid to its (subject tid, scope) pair; a vouch has
     at most one outgoing edge.  ``reverse_edges`` inverts that for backward
-    search.  ``diagnostics`` records vouches whose reference nearly matched a
-    present token but failed the content hash (possible substitution attempt).
+    search.  ``diagnostics`` holds one sorted ``(vouch tid, candidate tid)``
+    pair per near-miss: the vouch got no edge, and the candidate is a present
+    statement that its (issuer, jti) reference names but whose tid is not its
+    ``vch_sum`` (possibly a substitution attempt).
     """
 
     nodes: dict[bytes, Token] = field(default_factory=dict)
     scopes: dict[bytes, Scope] = field(default_factory=dict)
     edges: dict[bytes, tuple[bytes, Scope]] = field(default_factory=dict)
     reverse_edges: dict[bytes, list[bytes]] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[tuple[bytes, bytes]] = field(default_factory=list)
 
     def dump(self) -> str:
         """Deterministic text rendering in tid order, for audit diffing."""
@@ -109,7 +113,8 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     subject's tid, character for character, which is the link that
     :func:`~vouchsafe.evaluation.path_scope` accepts.  A vouch whose subject
     is absent (never supplied, omitted, or forged) stays as an isolated node:
-    an endorsement of nothing delegates nothing.
+    an endorsement of nothing delegates nothing.  Near-misses are recorded per
+    (vouch, candidate) pair, so they grow with the product of the two.
     """
     graph = CapabilityGraph()
     parse = functools.cache(parse_scope)  # one shared Scope per distinct purpose
@@ -140,10 +145,7 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
         # reference but not the content hash, flag the near-miss.
         for candidate in clean.tokens.by_statement(c.vch_iss, c.sub):
             if candidate.tid_hex != c.vch_sum:
-                graph.diagnostics.append(
-                    f"vouch {tid.hex()} references statement ({c.vch_iss}, {c.sub}) "
-                    f"but the content hash does not match token {candidate.tid_hex}"
-                )
+                graph.diagnostics.append((tid, candidate.tid))
     for dsts in graph.reverse_edges.values():
         dsts.sort()
     graph.diagnostics.sort()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,8 +173,11 @@ def validate_binding(identity: Identity, pk: PublicKey) -> bool:
 # ---------------------------------------------------------------------------
 
 def save_seed(path: str | Path, keypair: KeyPair) -> None:
-    """Write the secret seed as a one-line hex file."""
-    Path(path).write_text(f"{SEED_FILE_PREFIX}{keypair.seed.hex()}\n", encoding="utf-8")
+    """Create a new file, mode 0600 before the umask, holding the secret seed
+    as one hex line.  An existing path raises :class:`FileExistsError` and is
+    left untouched: a seed file is never overwritten."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "w", encoding="utf-8") as f:
+        f.write(f"{SEED_FILE_PREFIX}{keypair.seed.hex()}\n")
 
 
 def load_keypair(path: str | Path) -> KeyPair:

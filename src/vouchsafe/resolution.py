@@ -51,9 +51,6 @@ class TokenSet:
                 self._by_tid[t.tid] = t
         self._statements: dict[tuple[str, str], list[Token]] | None = None
 
-    def get(self, tid: bytes) -> Token | None:
-        return self._by_tid.get(tid)
-
     def _by_statement(self) -> dict[tuple[str, str], list[Token]]:
         if self._statements is None:
             self._statements = {}
@@ -78,10 +75,6 @@ class TokenSet:
     def __contains__(self, tid: bytes) -> bool:
         return tid in self._by_tid
 
-    @property
-    def tids(self) -> set[bytes]:
-        return set(self._by_tid)
-
 
 @dataclass(frozen=True)
 class RejectedToken:
@@ -96,8 +89,9 @@ class CleanSet:
     """The effective token set after burn and revocation omission.
 
     ``burned_identities`` lists every issuer named by a surviving-kind burn;
-    ``revoked_statements`` maps each omitted (issuer, jti) statement to the
-    tid of one matching revocation (smallest tid when several match).
+    ``revoked_statements`` maps the (issuer, jti) id of each revoked, unburned
+    attest or vouch to the smallest tid among the revocations that match a
+    statement with that id (several distinct wires may share one id).
 
     Its capability graph is built once, lazily, on first use of
     :attr:`graph`, and every request against this set reuses it: its
@@ -281,26 +275,6 @@ def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
     return TokenSet(valid), rejected
 
 
-def revokes_matches(revocation: Token, token: Token) -> bool:
-    """Does this revocation retract this statement?
-
-    Requires: the target is an attest or vouch, the issuers match, ``revokes``
-    names the target's jti, and the revocation's subject triple equals the
-    target's.  The triple comparison is what pins the revocation to one exact
-    prior act; it cannot be redirected to a re-encoded or substituted subject.
-    """
-    if revocation.claims.kind is not _REVOKE:
-        return False
-    if token.claims.kind not in _STATEMENT_KINDS:
-        return False
-    if revocation.claims.iss != token.claims.iss:
-        return False
-    if revocation.claims.revokes != token.claims.jti:
-        return False
-    r = revocation.claims
-    return (r.sub, r.vch_iss, r.vch_sum) == token.subject_triple()
-
-
 def resolve(valid: TokenSet) -> CleanSet:
     """Apply the omission pass to an already validity-filtered set.
 
@@ -308,17 +282,23 @@ def resolve(valid: TokenSet) -> CleanSet:
     outcome is independent of iteration order.  Revocation and burn tokens
     that survive their own checks remain members; their effects must stay
     visible to any evaluator handed the same set.
+
+    Revocations are indexed by their whole reference (issuer, ``revokes``,
+    subject triple), so each attest or vouch makes at most one lookup and the
+    work is linear in the tokens, however many wires share an (issuer, jti).
     """
     burns: list[str] = []
-    # Revocations indexed by the (issuer, jti) statement they claim to retract.
-    revocations: dict[tuple[str, str], list[Token]] = {}
+    # (issuer, revoked jti) -> subject triple -> smallest revoking tid.
+    revocations: dict[tuple[str, str], dict[tuple, bytes]] = {}
     for t in valid:
         c = t.claims
         if c.kind is _BURN:
             if c.burns is not None:
                 burns.append(c.burns)
-        elif c.kind is _REVOKE and c.revokes is not None:
-            revocations.setdefault((c.iss, c.revokes), []).append(t)
+        elif c.kind is _REVOKE:
+            by_triple = revocations.setdefault((c.iss, c.revokes), {})
+            triple = (c.sub, c.vch_iss, c.vch_sum)
+            by_triple[triple] = min(t.tid, by_triple.get(triple, t.tid))
     burned_ids = frozenset(burns)
 
     surviving: list[Token] = []
@@ -328,12 +308,10 @@ def resolve(valid: TokenSet) -> CleanSet:
         if c.iss in burned_ids and c.kind is not _BURN:
             continue
         key = (c.iss, c.jti)
-        if key in revocations:
-            matching = [r.tid for r in revocations[key] if revokes_matches(r, token)]
-            if matching:
-                tid = min(matching)
-                if key not in revoked_statements or tid < revoked_statements[key]:
-                    revoked_statements[key] = tid
+        if key in revocations and c.kind in _STATEMENT_KINDS:
+            tid = revocations[key].get(token.subject_triple())
+            if tid is not None:
+                revoked_statements[key] = min(tid, revoked_statements.get(key, tid))
                 continue
         surviving.append(token)
     return CleanSet(

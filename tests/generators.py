@@ -41,8 +41,15 @@ def craft(rng: random.Random, issuer_urn: str, kind: str, **claims) -> vs.Token:
     return vs.decode(wire)
 
 
-def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]:
-    """One random valid token set with control tokens and adversarial shapes."""
+def random_token_set(
+    rng: random.Random, max_tokens: int = 12, shared_ids: bool = False
+) -> list[vs.Token]:
+    """One random valid token set with control tokens and adversarial shapes.
+
+    ``shared_ids`` adds more duplicate-statement, mismatched-revocation and
+    revocation moves, and lets a duplicate copy a vouch as well as an
+    attest, so many wires share an (issuer, jti) and several revocations
+    name each; without it the draws are as they always were."""
     target = rng.randint(1, max_tokens)
     tokens: list[vs.Token] = []
     while len(tokens) < target:
@@ -53,6 +60,8 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
         if delegable:
             moves += ["vouch", "vouch", "vouch", "revoke", "revoke"]
             moves += ["forged_vouch", "dup_statement", "mismatched_revoke"]
+            if shared_ids:
+                moves += ["dup_statement", "mismatched_revoke", "revoke"] * 3
         move = rng.choice(moves)
         kp, ident = POOL[rng.randrange(len(POOL))]
 
@@ -91,6 +100,14 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
                         note=str(rng.getrandbits(32)),
                     )
                 )
+            elif shared_ids:
+                # Another wire with the vouch's id and subject triple: a
+                # revocation of either matches both.
+                c = original.claims
+                tokens.append(craft(
+                    rng, c.iss, oracles.VOUCH, jti=c.jti, sub=c.sub, vch_iss=c.vch_iss,
+                    vch_sum=c.vch_sum, note=str(rng.getrandbits(32)),
+                ))
         elif move == "mismatched_revoke":
             target_token = rng.choice(delegable)
             triple = target_token.subject_triple()
@@ -109,6 +126,25 @@ def random_token_set(rng: random.Random, max_tokens: int = 12) -> list[vs.Token]
     # Random drops leave dangling vouches and revocations of absent statements.
     kept = [t for t in tokens if rng.random() > 0.12]
     return kept if kept else [rng.choice(tokens)]
+
+
+def shared_id_bundle(rng: random.Random, n: int) -> list[vs.Token]:
+    """A hostile set built on one (issuer, jti): ``n`` attests that share it,
+    ``n`` revocations of it that match none of them, and ``n`` vouches that
+    name it with a wrong ``vch_sum``.  All valid; nothing is omitted."""
+    signer, voucher = POOL[4][1].urn, POOL[1][1].urn
+
+    def wrong_sum() -> str:
+        return rng.getrandbits(256).to_bytes(32, "big").hex()
+
+    attests = [craft(rng, signer, oracles.ATTEST, jti="shared", note=str(i)) for i in range(n)]
+    reference = {"sub": "shared", "vch_iss": signer}
+    revokes = [
+        craft(rng, signer, oracles.REVOKE, revokes="shared", vch_sum=wrong_sum(), **reference)
+        for _ in range(n)
+    ]
+    vouches = [craft(rng, voucher, oracles.VOUCH, vch_sum=wrong_sum(), **reference) for _ in range(n)]
+    return attests + revokes + vouches
 
 
 def _bad_schema_wire(rng: random.Random, urn: str) -> str:

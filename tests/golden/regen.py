@@ -168,6 +168,20 @@ def newline_sum_lines() -> list[str]:
     return [subject, _sign(0, oracles.VOUCH, "n-vouch", **ref)]
 
 
+def shared_jti_lines() -> list[str]:
+    """One signer's reused jti: three attests share it, three revocations of
+    it match none of them and a fourth matches the second, and three vouches
+    name it with a wrong ``vch_sum``."""
+    attests = [_sign(4, oracles.ATTEST, "shared", note=str(i)) for i in range(3)]
+    ref = {"sub": "shared", "vch_iss": _urn(4)}
+    wrong = [oracles.tid_hex_of(f"wrong-{i}") for i in range(3)]
+    revokes = [_sign(4, oracles.REVOKE, f"r{i}", revokes="shared", **ref, vch_sum=s)
+               for i, s in enumerate(wrong)]
+    revokes.append(_sign(4, oracles.REVOKE, "r-match", revokes="shared", **_ref(attests[1])))
+    vouches = [_sign(1, oracles.VOUCH, f"v{i}", **ref, vch_sum=s) for i, s in enumerate(wrong)]
+    return attests + revokes + vouches
+
+
 def input_files() -> dict[str, bytes]:
     """Every input file's bytes, by its name in this directory."""
     w = bundle_lines()
@@ -179,6 +193,7 @@ def input_files() -> dict[str, bytes]:
     return {
         "bundle.jsonl": bundle_bytes(w),
         "vch-sum-newline.jsonl": "".join(x + "\n" for x in newline_sum_lines()).encode(),
+        "shared-jti.jsonl": "".join(x + "\n" for x in shared_jti_lines()).encode(),
         "valid.jwt": (w["s"] + "\n").encode(),
         "invalid.jwt": (w["bad-key"] + "\n").encode(),
         **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},

@@ -90,8 +90,8 @@ def subject_triple_of(wire: str) -> tuple | None:
 # State-resolution oracle: the omission formula by double loop
 # ---------------------------------------------------------------------------
 
-def oracle_clean_tids(wires: list[str]) -> set[str]:
-    """Surviving tid hexes of a valid token set, predicates applied literally."""
+def _omission_predicates(wires: list[str]):
+    """The burn predicate and each statement's matching revocations, by double loop."""
     payloads = {w: payload_of(w) for w in wires}
 
     def is_burned(w: str) -> bool:
@@ -102,19 +102,38 @@ def oracle_clean_tids(wires: list[str]) -> set[str]:
             for b in wires
         )
 
-    def is_revoked(w: str) -> bool:
+    def revokers(w: str) -> list[str]:
         if payloads[w]["kind"] not in (ATTEST, VOUCH):
-            return False
-        return any(
-            payloads[r]["kind"] == REVOKE
+            return []
+        return [
+            r for r in wires
+            if payloads[r]["kind"] == REVOKE
             and payloads[r]["iss"] == payloads[w]["iss"]
             and payloads[r].get("revokes") == payloads[w]["jti"]
             and (payloads[r].get("sub"), payloads[r].get("vch_iss"), payloads[r].get("vch_sum"))
             == subject_triple_of(w)
-            for r in wires
-        )
+        ]
 
-    return {tid_hex_of(w) for w in wires if not is_burned(w) and not is_revoked(w)}
+    return payloads, is_burned, revokers
+
+
+def oracle_clean_tids(wires: list[str]) -> set[str]:
+    """Surviving tid hexes of a valid token set, predicates applied literally."""
+    _, is_burned, revokers = _omission_predicates(wires)
+    return {tid_hex_of(w) for w in wires if not is_burned(w) and not revokers(w)}
+
+
+def oracle_revoked_statements(wires: list[str]) -> dict[tuple[str, str], str]:
+    """(issuer, jti) -> the smallest tid hex of any revocation matching an
+    unburned statement with that id; a burned statement counts as burned."""
+    payloads, is_burned, revokers = _omission_predicates(wires)
+    revoked: dict[tuple[str, str], str] = {}
+    for w in wires:
+        found = [tid_hex_of(r) for r in revokers(w)]
+        if found and not is_burned(w):
+            key = (payloads[w]["iss"], payloads[w]["jti"])
+            revoked[key] = min(found + [revoked.get(key, found[0])])
+    return revoked
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class TestLoadBundle:
         path = tmp_path / "one.jwt"
         path.write_text(t.wire + "\n")
         bundle = load_bundle([path])
-        assert bundle.tokens.get(t.tid) is not None
+        assert t.tid in bundle.tokens
 
     def test_json_quoted_lines_accepted(self, alice, tmp_path):
         kp, ident = alice
@@ -92,7 +92,7 @@ class TestLoadBundle:
         path = tmp_path / "b.jsonl"
         path.write_text(f"{deep}.{deep}.{oracles.b64url(b'x' * 64)}\n{good.wire}\n")
         bundle = load_bundle([path])
-        assert bundle.tokens.tids == {good.tid}
+        assert {t.tid for t in bundle.tokens} == {good.tid}
         assert [(d.line, d.code) for d in bundle.diagnostics] == [
             (1, "decode: header JSON nests too deeply")
         ]
@@ -110,7 +110,7 @@ class TestLoadBundle:
         shuffled = lines[:]
         rng.shuffle(shuffled)
         b.write_text("".join(w + "\n" for w in shuffled))
-        assert load_bundle([a]).tokens.tids == load_bundle([b]).tokens.tids
+        assert {t.tid for t in load_bundle([a]).tokens} == {t.tid for t in load_bundle([b]).tokens}
 
 
 # Text that is one bundle line: no character that str.splitlines breaks at, and
@@ -271,7 +271,8 @@ class TestReingest:
         segments.clear()
         second = _ingest([a_path, b_path])
         assert sorted(segments) == sorted(s for w in new for s in w.split("."))
-        assert all(second[0].tokens.get(t.tid) is t for t in first[0].tokens)
+        by_tid = {t.tid: t for t in second[0].tokens}
+        assert all(by_tid.get(t.tid) is t for t in first[0].tokens)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -284,7 +285,7 @@ class TestReingest:
         valid, rejected = filter_valid(TokenSet(decode(w) for w in grown))
 
         fresh = {t.tid: verify(t) for t in (decode(w) for w in grown)}
-        assert valid.tids == {tid for tid, report in fresh.items() if report.ok}
+        assert {t.tid for t in valid} == {tid for tid, report in fresh.items() if report.ok}
         assert {r.token.tid: r.report for r in rejected} == {
             tid: report for tid, report in fresh.items() if not report.ok
         }
@@ -312,9 +313,10 @@ class TestReingest:
 
         held = _stages([a], now)
         warm = _stages([a, b], now)
-        assert all(warm[0].tokens.get(t.tid) is t for t in held[0].tokens)
+        by_tid = {t.tid: t for t in warm[0].tokens}
+        assert all(by_tid.get(t.tid) is t for t in held[0].tokens)
         warm_outcome = _outcome(warm)
-        del held, warm
+        del held, warm, by_tid
         gc.collect()
         assert all(
             vouchsafe.tokens._live.get(line.decode("utf-8", "replace").strip('"')) is None

@@ -1,4 +1,6 @@
 import base64
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,23 @@ class TestKeyFiles:
         text = path.read_text()
         assert text.startswith("ed25519-seed-hex:") and text.endswith("\n")
         assert load_keypair(path).public.raw == kp.public.raw
+
+    def test_seed_file_is_owner_only_whatever_the_umask(self, tmp_path):
+        path = tmp_path / "k.seed"
+        old = os.umask(0)
+        try:
+            save_seed(path, generate_keypair())
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_existing_path_is_never_overwritten(self, tmp_path):
+        path = tmp_path / "k.seed"
+        save_seed(path, generate_keypair(b"\x01" * 32))
+        before = path.read_bytes()
+        with pytest.raises(FileExistsError, match="k.seed"):
+            save_seed(path, generate_keypair(b"\x02" * 32))
+        assert path.read_bytes() == before
 
     def test_non_utf8_seed_file_is_identity_error(self, tmp_path):
         path = tmp_path / "k.seed"

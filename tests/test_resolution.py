@@ -22,7 +22,6 @@ from vouchsafe import (
     issue_revoke,
     issue_vouch,
     resolve,
-    revokes_matches,
     verify,
 )
 
@@ -31,6 +30,10 @@ import generators
 
 def kinds(clean):
     return sorted(t.claims.kind.value for t in clean.tokens)
+
+
+def tids(tokens):
+    return {t.tid for t in tokens}
 
 
 class TestTokenSet:
@@ -86,7 +89,7 @@ class TestTokenSet:
         for order, kept in cases:
             ts = TokenSet(order)
             assert [id(x) for x in ts] == [id(x) for x in kept]
-            assert ts.get(a.tid) is kept[kept.index(a)]
+            assert {x.tid: x for x in ts}[a.tid] is kept[kept.index(a)]
 
 
 class TestFilterValid:
@@ -141,8 +144,9 @@ class TestRevokesMatches:
         a = issue_attest(kp_a, ident_a)
         v = issue_vouch(kp_r, ident_r, a)
         r = issue_revoke(kp_r, ident_r, v)
-        assert revokes_matches(r, v)
-        assert not revokes_matches(r, a)
+        clean = resolve(TokenSet([a, v, r]))
+        assert v.tid not in clean.tokens
+        assert a.tid in clean.tokens
 
     def test_garbled_subject_hash_does_not_match(self, alice, root):
         kp_a, ident_a = alice
@@ -160,7 +164,23 @@ class TestRevokesMatches:
                 ),
             )
         )
-        assert not revokes_matches(crafted, v)
+        assert crafted.claims.iss == ident_r.urn  # only the subject hash differs
+        assert v.tid in resolve(TokenSet([v, crafted])).tokens
+
+    def test_revocation_is_never_revoked(self, alice, root):
+        kp_a, ident_a = alice
+        kp_r, ident_r = root
+        v = issue_vouch(kp_r, ident_r, issue_attest(kp_a, ident_a))
+        r = issue_revoke(kp_r, ident_r, v)
+        seed = b"\x22" * 32
+        sub, vch_iss, vch_sum = r.subject_triple()
+        # Names r by issuer, jti and subject triple, as if r were a statement.
+        again = decode(oracles.craft_wire(seed, oracles.standard_claims(
+            seed, "root", "vch:revoke", "jr2", sub=sub, vch_iss=vch_iss, vch_sum=vch_sum,
+            revokes=r.claims.jti,
+        )))
+        clean = resolve(TokenSet([v, r, again]))
+        assert tids(clean.tokens) == {r.tid, again.tid}
 
     def test_foreign_issuer_does_not_match(self, alice, mallory):
         kp_a, ident_a = alice
@@ -168,8 +188,9 @@ class TestRevokesMatches:
         a = issue_attest(kp_a, ident_a)
         own = issue_attest(kp_m, ident_m)
         r = issue_revoke(kp_m, ident_m, own)
-        assert not revokes_matches(r, a)
-
+        clean = resolve(TokenSet([a, own, r]))
+        assert a.tid in clean.tokens
+        assert own.tid not in clean.tokens
 
 class TestResolve:
     def test_burn_omits_attest(self, alice):
@@ -200,7 +221,7 @@ class TestResolve:
         v = issue_vouch(kp_r, ident_r, a)
         b = issue_burn(kp_r, ident_r)
         clean = resolve(TokenSet([a, v, b]))
-        assert clean.tokens.tids == {a.tid, b.tid}
+        assert tids(clean.tokens) == {a.tid, b.tid}
 
     def test_burned_revoker_revocation_still_counted(self, alice):
         # The revocation predicate ranges over the valid set, so a burned
@@ -221,7 +242,7 @@ class TestResolve:
         v = issue_vouch(kp_r, ident_r, a)
         r = issue_revoke(kp_r, ident_r, v)
         clean = resolve(TokenSet([a, r]))  # v itself absent
-        assert clean.tokens.tids == {a.tid, r.tid}
+        assert tids(clean.tokens) == {a.tid, r.tid}
 
     def test_duplicate_statement_disambiguated_by_triple(self, alice):
         kp, ident = alice
@@ -235,7 +256,7 @@ class TestResolve:
         r = issue_revoke(kp, ident, a)
         clean = resolve(TokenSet([a, dup, r]))
         # Only the hash-committed original is revoked; the duplicate survives.
-        assert clean.tokens.tids == {dup.tid, r.tid}
+        assert tids(clean.tokens) == {dup.tid, r.tid}
 
 
 class TestResolveProperties:
@@ -243,7 +264,7 @@ class TestResolveProperties:
         rng = random.Random(7)
         for _ in range(150):
             tokens = generators.random_token_set(rng)
-            before = resolve(TokenSet(tokens)).tokens.tids
+            before = tids(resolve(TokenSet(tokens)).tokens)
             kp, ident = generators.POOL[rng.randrange(len(generators.POOL))]
             delegable = [t for t in tokens if t.claims.kind.value in ("vch:attest", "vch:vouch")]
             if rng.random() < 0.5 and delegable:
@@ -252,7 +273,7 @@ class TestResolveProperties:
                 control = issue_revoke(kp_t, ident_t, target)
             else:
                 control = issue_burn(kp, ident)
-            after = resolve(TokenSet(tokens + [control])).tokens.tids
+            after = tids(resolve(TokenSet(tokens + [control])).tokens)
             assert after <= before | {control.tid}
 
     def test_shuffle_determinism(self):
@@ -264,7 +285,7 @@ class TestResolveProperties:
                 shuffled = tokens[:]
                 rng.shuffle(shuffled)
                 again = resolve(TokenSet(shuffled))
-                assert again.tokens.tids == base.tokens.tids
+                assert tids(again.tokens) == tids(base.tokens)
                 assert again.burned_identities == base.burned_identities
                 assert again.revoked_statements == base.revoked_statements
 
@@ -283,7 +304,7 @@ class TestResolveProperties:
             tokens = generators.random_token_set(rng)
             once = resolve(TokenSet(tokens))
             twice = resolve(TokenSet(list(once.tokens)))
-            assert twice.tokens.tids == once.tokens.tids
+            assert tids(twice.tokens) == tids(once.tokens)
 
     def test_oracle_equivalence_sample(self):
         rng = random.Random(11)
@@ -292,6 +313,35 @@ class TestResolveProperties:
             got = {t.tid_hex for t in resolve(TokenSet(tokens)).tokens}
             want = oracles.oracle_clean_tids([t.wire for t in tokens])
             assert got == want
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_resolve_equals_oracle_on_shared_statement_ids(seed):
+    """Many wires share each (issuer, jti), and several revocations name it:
+    the survivors and ``revoked_statements`` (smallest matching revocation
+    tid per statement id) are the double-loop oracle's."""
+    tokens = generators.random_token_set(random.Random(seed), max_tokens=16, shared_ids=True)
+    wires = [t.wire for t in tokens]
+    clean = resolve(TokenSet(tokens))
+    assert {t.tid_hex for t in clean.tokens} == oracles.oracle_clean_tids(wires)
+    revoked = {key: tid.hex() for key, tid in clean.revoked_statements.items()}
+    assert revoked == oracles.oracle_revoked_statements(wires)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_resolve_reads_each_subject_triple_at_most_once(n, monkeypatch):
+    """One signer's shared jti, named by n revocations that match nothing:
+    each statement makes one index lookup, not one test per revocation."""
+    tokens = generators.shared_id_bundle(random.Random(n), n)
+    calls = []
+    real = vouchsafe.tokens.Token.subject_triple
+    monkeypatch.setattr(
+        vouchsafe.tokens.Token, "subject_triple", lambda self: calls.append(self.tid) or real(self)
+    )
+    clean = resolve(TokenSet(tokens))
+    assert len(clean.tokens) == 3 * n and clean.revoked_statements == {}
+    assert len(calls) == len(set(calls)) <= 3 * n
 
 
 @contextlib.contextmanager
