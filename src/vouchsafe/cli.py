@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .graph import Scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
-from .resolution import CleanSet, TokenSet, filter_valid, resolve
+from .resolution import CleanSet, TokenSet, _closure, filter_valid, resolve
 from .tokens import (
     _OPTIONAL_CLAIMS,
     DecodeError,
@@ -217,14 +217,13 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _load_pipeline(paths: list[str], now: int | None) -> tuple[Bundle, Bundle, TokenSet, CleanSet]:
+def _load_filtered(paths: list[str], now: int | None) -> tuple[Bundle, Bundle]:
+    """The bundle as read, and what is left of it after temporal filtering."""
     try:
         bundle = load_bundle(paths)
     except OSError as exc:
         raise DataError(f"cannot read bundle: {exc}") from exc
-    filtered = temporal_filter(bundle, now)
-    valid, _ = filter_valid(filtered.tokens)
-    return bundle, filtered, valid, resolve(valid)
+    return bundle, temporal_filter(bundle, now)
 
 
 def _fates(bundle: Bundle, filtered: Bundle, clean: CleanSet, now: int | None) -> tuple[list[Token], list[dict]]:
@@ -260,7 +259,9 @@ def _diagnostics_json(bundle: Bundle, valid: TokenSet) -> list:
 
 
 def cmd_resolve(args) -> int:
-    bundle, filtered, valid, clean = _load_pipeline(args.bundle, args.now)
+    bundle, filtered = _load_filtered(args.bundle, args.now)
+    valid, _ = filter_valid(filtered.tokens)
+    clean = resolve(valid)
     surviving, omitted = _fates(bundle, filtered, clean, args.now)
     if args.json:
         doc = {
@@ -330,12 +331,16 @@ def cmd_evaluate(args) -> int:
     except (OSError, TrustConfigError) as exc:
         raise UsageError(str(exc)) from exc
     required = frozenset(label for chunk in args.require for label in chunk.split())
-    *_, clean = _load_pipeline(args.bundle, args.now)
+    _, filtered = _load_filtered(args.bundle, args.now)
     request = Request(
         subject_tid=_subject_tid(args.subject),
         required=required,
         roots=tuple(roots),
     )
+    # Only the request's closure is verified and resolved: the verdict, the
+    # witness and the explain listing are those of the whole bundle.
+    valid, _ = filter_valid(_closure(filtered.tokens, request.subject_tid))
+    clean = resolve(valid)
     decision = evaluate(clean, request, max_depth=args.max_depth)
     report = (
         enumerate_paths(clean, request, limit=args.max_paths, max_depth=args.max_depth)

@@ -143,7 +143,7 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
             continue
         # No edge.  If some present statement matches the (issuer, jti)
         # reference but not the content hash, flag the near-miss.
-        for candidate in clean.tokens.by_statement(c.vch_iss, c.sub):
+        for candidate in clean.tokens._by_statement().get((c.vch_iss, c.sub), ()):
             if candidate.tid_hex != c.vch_sum:
                 graph.diagnostics.append((tid, candidate.tid))
     for dsts in graph.reverse_edges.values():

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, Token, ValidityReport
+from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, _VOUCH, Token, ValidityReport
 
 
 class TokenSet:
@@ -244,6 +244,60 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
         if len(reports) == len(part):
             for t, report in zip(part, reports):
                 object.__setattr__(t, "_validity", report)
+
+
+def _closure(tokens: TokenSet, subject_tid: bytes) -> TokenSet:
+    """The tokens of an unverified set that a request about ``subject_tid``
+    can depend on, in the set's order.
+
+    Starting from the subject, it takes every vouch whose ``vch_sum`` is the
+    ``tid_hex`` of a statement already taken, and for each statement taken
+    every burn whose ``burns`` is its issuer and every revocation whose
+    (issuer, ``revokes``) is its (issuer, jti).  Each index entry is consumed
+    once, so the work is linear in the tokens.
+
+    Verifying and resolving the closure instead of the whole set gives every
+    request about this subject the same verdict, witness and path listing:
+
+    * a statement's clean-set membership depends only on the statement
+      itself, its issuer's burns and its own revocations, all taken with it;
+    * a clean edge requires ``vch_sum == tid_hex`` of its subject, so every
+      voucher of a taken statement is taken too;
+    * so every node that a backward walk from the subject reaches, every edge
+      between such nodes, every ``reverse_edges`` entry that decides
+      ``depth_limited``, and the subject's own membership are the same in the
+      graphs of both sets.
+    """
+    subject = tokens._by_tid.get(subject_tid)
+    if subject is None:
+        return TokenSet()
+    vouchers: dict[str, list[Token]] = {}
+    burns: dict[str, list[Token]] = {}
+    revocations: dict[tuple[str, str], list[Token]] = {}
+    for t in tokens:
+        c = t.claims
+        if c.kind is _VOUCH:
+            vouchers.setdefault(c.vch_sum, []).append(t)
+        elif c.kind is _BURN:
+            burns.setdefault(c.burns, []).append(t)
+        elif c.kind is _REVOKE:
+            revocations.setdefault((c.iss, c.revokes), []).append(t)
+    taken = {subject.tid}
+    queue = [subject]
+    # Tokens appended while iterating are visited too.
+    for t in queue:
+        c = t.claims
+        if c.kind not in _STATEMENT_KINDS:
+            continue
+        for dependency in (
+            *vouchers.pop(t.tid_hex, ()),
+            *burns.pop(c.iss, ()),
+            *revocations.pop((c.iss, c.jti), ()),
+        ):
+            if dependency.tid not in taken:
+                taken.add(dependency.tid)
+                queue.append(dependency)
+    return TokenSet(t for t in tokens if t.tid in taken)
 
 
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:

@@ -164,6 +164,14 @@ def _bad_schema_wire(rng: random.Random, urn: str) -> str:
     return craft(rng, urn, kind, **claims).wire
 
 
+def bad_signature(token: vs.Token) -> str:
+    """The token's header and claims under the signature of another token
+    by the same pool identity: it decodes, but its signature fails."""
+    head, payload, _ = token.wire.split(".")
+    kp, ident = POOL_BY_URN[token.claims.iss]
+    return f"{head}.{payload}.{vs.issue_attest(kp, ident).wire.split('.')[2]}"
+
+
 def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
     """Wires that all decode but not all verify: honest attests and vouches
     mixed with bad signatures, keys foreign to the claimed issuer, unparseable
@@ -188,8 +196,7 @@ def random_wire_mix(rng: random.Random, size: int = 10) -> list[str]:
             honest.append(token)
             wires.append(token.wire)
         elif move == "bad_sig":
-            h, p, _ = vs.issue_attest(kp, ident).wire.split(".")
-            wires.append(f"{h}.{p}.{vs.issue_attest(kp, ident).wire.split('.')[2]}")
+            wires.append(bad_signature(vs.issue_attest(kp, ident)))
         elif move == "foreign_key":
             claims = oracles.standard_claims(seed, label, oracles.ATTEST, jti)
             if rng.random() < 0.5:

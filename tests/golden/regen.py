@@ -182,6 +182,17 @@ def shared_jti_lines() -> list[str]:
     return attests + revokes + vouches
 
 
+def second_files(w: dict[str, str]) -> dict[str, bytes]:
+    """Files read after ``bundle.jsonl``: a burn of id2, which issued the
+    vouch v1 that every rooted path to s crosses; a revocation of v1; and an
+    unrelated bad-signature line with a garbage line."""
+    return {
+        "burn-mid.jsonl": (_sign(2, oracles.BURN, "b2", burns=_urn(2)) + "\n").encode(),
+        "revoke-mid.jsonl": (_sign(2, oracles.REVOKE, "rv1", **_ref(w["s"]), revokes="v1") + "\n").encode(),
+        "noise.jsonl": (_sign(3, oracles.ATTEST, "noise", by=4) + "\ngarbage\n").encode(),
+    }
+
+
 def input_files() -> dict[str, bytes]:
     """Every input file's bytes, by its name in this directory."""
     w = bundle_lines()
@@ -196,6 +207,7 @@ def input_files() -> dict[str, bytes]:
         "shared-jti.jsonl": "".join(x + "\n" for x in shared_jti_lines()).encode(),
         "valid.jwt": (w["s"] + "\n").encode(),
         "invalid.jwt": (w["bad-key"] + "\n").encode(),
+        **second_files(w),
         **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},
     }
 

@@ -17,7 +17,18 @@ import generators
 import oracles
 import vouchsafe.cli
 import vouchsafe.resolution
-from vouchsafe import TokenKind, TokenSet, decode, filter_valid, load_bundle, resolve, temporal_filter, verify
+import vouchsafe.tokens
+from vouchsafe import (
+    TokenSet,
+    decode,
+    filter_valid,
+    issue_attest,
+    issue_vouch,
+    load_bundle,
+    resolve,
+    temporal_filter,
+    verify,
+)
 from vouchsafe.cli import main
 
 
@@ -530,13 +541,24 @@ class TestSplitVerify:
 
     @pytest.fixture(scope="class")
     def big_bundle(self, tmp_path_factory):
-        wires = generators.random_wire_mix(
-            random.Random(401), vouchsafe.resolution._FORK_MIN_TOKENS + 40
-        )
-        vouches = (decode(w) for w in wires)
-        subject = next(
-            t.claims.vch_sum for t in vouches if t.claims.kind is TokenKind.VOUCH and verify(t).ok
-        )
+        """A wire mix, plus a tree of vouches over one subject, large enough
+        that ``evaluate`` (which verifies only the subject's closure) forks too;
+        one vouch in five has a bad signature."""
+        rng = random.Random(401)
+        size = vouchsafe.resolution._FORK_MIN_TOKENS + 40
+        wires = generators.random_wire_mix(rng, size)
+        kp, ident = generators.POOL[0]
+        tree = [issue_attest(kp, ident, purpose="read write")]
+        for i in range(size):
+            kp, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+            vouch = issue_vouch(kp, ident, rng.choice(tree), purpose=generators.random_purpose(rng))
+            if i % 5 == 0:
+                wires.append(generators.bad_signature(vouch))
+            else:
+                tree.append(vouch)
+                wires.append(vouch.wire)
+        subject = tree[0].tid_hex
+        wires.append(tree[0].wire)
         d = tmp_path_factory.mktemp("split")
         bundle = write(d / "b.jsonl", "".join(w + "\n" for w in wires))
         roots = [{"identity": ident.urn, "scope": "*" if i % 2 else ["read"]}
@@ -596,6 +618,45 @@ class TestSplitVerify:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, b"out-before valid=6 forks=1\n", b"err-before "
         )
+
+
+def _three_hop_chain() -> list[str]:
+    """Wires of an attest by id4 and vouches by id2, id1 and id0 above it,
+    subject first; only wires are kept, so no Token outlives a run."""
+    kp, ident = generators.POOL[4]
+    chain = [issue_attest(kp, ident, purpose="read")]
+    for i in (2, 1, 0):
+        kp, ident = generators.POOL[i]
+        chain.append(issue_vouch(kp, ident, chain[-1], purpose="read"))
+    return [t.wire for t in chain]
+
+
+def test_evaluate_verifies_only_the_request_closure(tmp_path, run, monkeypatch):
+    """Unrelated and invalid tokens added to a bundle cost ``evaluate`` no
+    signature check: the number of ``verify`` calls is that of the closure."""
+    chain = _three_hop_chain()
+    subject = oracles.tid_hex_of(chain[0])
+    trust = write(tmp_path / "trust.json", json.dumps([{"identity": generators.POOL[0][1].urn,
+                                                         "scope": "*"}]))
+    calls = []
+    real = vouchsafe.tokens.verify
+    monkeypatch.setattr(vouchsafe.tokens, "verify", lambda t: calls.append(t.tid) or real(t))
+    n = 150
+    counts, closures, outputs = [], [], []
+    for size in (n, 2 * n):
+        noise = generators.random_wire_mix(random.Random(size), size)
+        bundle = write(tmp_path / f"b{size}.jsonl", "".join(w + "\n" for w in noise + chain))
+        closures.append(len(vouchsafe.resolution._closure(load_bundle([bundle]).tokens,
+                                                            bytes.fromhex(subject))))
+        gc.collect()  # no Token of the previous run, or its report, is reused
+        calls.clear()
+        code, out, _ = run("evaluate", bundle, "--trust", trust, "--subject", subject,
+                           "--require", "read", "--explain", "--json")
+        counts.append(len(calls))
+        outputs.append((code, json.loads(out)["witness"]))
+    assert closures == [len(chain)] * 2
+    assert counts == closures
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_cli_import_skips_keygen_and_issuance_modules():

@@ -34,3 +34,14 @@ def test_case_output_is_unchanged(index, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     got = regen.run_case(CASES[index])
     assert got == regen.expected_path(index).read_text(encoding="utf-8")
+
+
+def test_noise_file_changes_no_output_byte():
+    """``noise.jsonl`` holds an unrelated bad-signature line and a garbage
+    line; a case that also reads it expects what the case without it does."""
+    noisy = [i for i, case in enumerate(CASES) if " noise.jsonl" in case]
+    assert noisy
+    for i in noisy:
+        plain = CASES.index(CASES[i].replace(" noise.jsonl", ""))
+        outputs = [regen.expected_path(j).read_text(encoding="utf-8").split("\n", 1)[1] for j in (plain, i)]
+        assert outputs[0] == outputs[1]

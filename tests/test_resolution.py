@@ -14,14 +14,21 @@ import oracles
 import vouchsafe.resolution
 import vouchsafe.tokens
 from vouchsafe import (
+    Bundle,
+    Request,
+    TokenKind,
     TokenSet,
+    Verdict,
     decode,
+    enumerate_paths,
+    evaluate,
     filter_valid,
     issue_attest,
     issue_burn,
     issue_revoke,
     issue_vouch,
     resolve,
+    temporal_filter,
     verify,
 )
 
@@ -342,6 +349,79 @@ def test_resolve_reads_each_subject_triple_at_most_once(n, monkeypatch):
     clean = resolve(TokenSet(tokens))
     assert len(clean.tokens) == 3 * n and clean.revoked_statements == {}
     assert len(calls) == len(set(calls)) <= 3 * n
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    now=st.one_of(st.none(), st.integers(0, 400)),
+    pick=st.sampled_from(["statement", "control", "absent", "chain"]),
+    max_depth=st.sampled_from([0, 1, 2, 4]),
+    limit=st.sampled_from([1, 3, 100]),
+)
+@settings(max_examples=300, deadline=None)
+def test_closure_decides_as_the_whole_set(seed, now, pick, max_depth, limit):
+    """Verifying and resolving only a request's closure gives the verdict,
+    witness and path listing of the whole set, and the oracle's verdict.
+
+    The set mixes shared statement ids and mismatched revocations, a chain
+    of vouches longer than ``max_depth`` with validity windows, bad-signature
+    copies of random tokens, and sometimes a revocation of a chain vouch."""
+    rng = random.Random(seed)
+    tokens = generators.random_token_set(rng, max_tokens=14, shared_ids=True)
+    statements = [t for t in tokens if t.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH)]
+    if statements and rng.random() < 0.5:
+        chain = [rng.choice(statements)]
+    else:
+        chain = [issue_attest(*generators.POOL[rng.randrange(len(generators.POOL))])]
+        tokens.append(chain[0])
+    for _ in range(max_depth + 2):
+        kp, ident = generators.POOL[rng.randrange(len(generators.POOL))]
+        window = {"exp": rng.randint(0, 400)} if rng.random() < 0.2 else {}
+        if rng.random() < 0.2:
+            window["nbf"] = rng.randint(0, 400)
+        chain.append(
+            issue_vouch(kp, ident, chain[-1], purpose=generators.random_purpose(rng), **window)
+        )
+    tokens += chain[1:]
+    if rng.random() < 0.3:
+        vouch = rng.choice(chain[1:])
+        tokens.append(issue_revoke(*generators.POOL_BY_URN[vouch.claims.iss], vouch))
+    tokens += [decode(generators.bad_signature(t)) for t in rng.sample(tokens, 3)]
+    controls = [t for t in tokens if t.claims.kind in (TokenKind.REVOKE, TokenKind.BURN)]
+    if pick == "statement":
+        subject_tid = rng.choice([t for t in tokens if t not in controls]).tid
+    elif pick == "control" and controls:
+        subject_tid = rng.choice(controls).tid
+    elif pick == "chain":
+        subject_tid = chain[0].tid
+    else:
+        subject_tid = rng.getrandbits(256).to_bytes(32, "big")
+    rng.shuffle(tokens)
+
+    filtered = temporal_filter(Bundle(tokens=TokenSet(tokens)), now).tokens
+    closure = vouchsafe.resolution._closure(filtered, subject_tid)
+    assert [t.tid for t in closure] == [t.tid for t in filtered if t.tid in closure]
+    whole, part = (resolve(filter_valid(s)[0]) for s in (filtered, closure))
+    roots_raw = generators.random_roots(rng)
+    request = Request(subject_tid, generators.random_required(rng), generators.as_principals(roots_raw))
+    decision = evaluate(part, request, max_depth=max_depth)
+    assert decision == evaluate(whole, request, max_depth=max_depth)
+    assert enumerate_paths(part, request, limit, max_depth) == enumerate_paths(
+        whole, request, limit, max_depth
+    )
+
+    want = oracles.oracle_decision(
+        [t.wire for t in filtered if t.validity.ok],
+        subject_tid.hex(), roots_raw, request.required, max_depth,
+    )
+    assert decision.verdict.value == want["verdict"]
+    if decision.verdict is Verdict.ACCEPT:
+        assert [t.tid_hex for t in decision.witness.path] == want["path"]
+        assert decision.witness.root == request.roots[want["root"]]
+        assert decision.witness.effective_scope.labels == want["effective_scope"]
+    else:
+        assert decision.reason.value == want["reason"]
+        assert decision.depth_limited == want["depth_limited"]
 
 
 @contextlib.contextmanager
