@@ -3,7 +3,9 @@
 Bundles need no signing or wrapper metadata: every token authenticates
 itself, so a bundle is just lines of compact JWTs (``.jwt`` files hold a
 single token).  Unparseable lines, non-UTF-8 ones too, become diagnostics
-instead of aborting the load; adversarial bundles are expected input.
+instead of aborting the load; adversarial bundles are expected input.  To
+decide one request, the same lines can instead be scanned for their links
+alone, and only those in the request's closure decoded.
 
 Temporal filtering is application policy layered in front of resolution: it
 removes only attests and vouches, so it never adds authority, and when no
@@ -16,12 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
-from .resolution import TokenSet
-from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _live, decode
+from .resolution import TokenSet, _request_closure
+from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _links, _live, decode
 
 
 class TrustConfigError(ValueError):
@@ -55,13 +58,8 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     """
     found: list[Token] = []
     diagnostics: list[BundleDiagnostic] = []
-    for source in sources:
-        path = Path(source)
-        # Bytes that are not UTF-8 become lone surrogates, which _read_line flags.
-        text = path.read_text(encoding="utf-8", errors="surrogateescape")
-        single = path.suffix == ".jwt"
-        name = str(path)
-        for lineno, line in enumerate([text] if single else text.splitlines(), start=1):
+    for name, single, lines in _source_lines(sources):
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             token = _live.get(line)
             if token is None:
@@ -74,24 +72,84 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     return Bundle(tokens=TokenSet(found), diagnostics=diagnostics)
 
 
-def _read_line(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> Token | None:
-    """Decode a line that is not the wire of a live Token, or record why it is unusable."""
+def _source_lines(sources: list[str | Path]) -> Iterator[tuple[str, bool, list[str]]]:
+    """Each source's name, whether it is a single-token ``.jwt`` file, and its
+    lines as read (a ``.jwt`` file's whole text is one line)."""
+    for source in sources:
+        path = Path(source)
+        single = path.suffix == ".jwt"
+        # Bytes that are not UTF-8 become lone surrogates, which _unwrap flags.
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        lines = [text] if single else text.splitlines()
+        del text  # held while the lines are read, it would double the memory they take
+        yield str(path), single, lines
+
+
+def _unwrap(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> str | None:
+    """The wire a stripped line holds, itself or the JSON string it quotes, or
+    None after recording why it holds none."""
     if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
         diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-utf-8"))
         return None
-    read = _decode_unseen
     if line.startswith('"'):
         try:
-            line = json.loads(line)
+            return json.loads(line)
         except json.JSONDecodeError:
             diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="bad-json-string"))
             return None
-        read = decode  # the unquoted wire may still have a live Token
+    return line
+
+
+def _read_line(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> Token | None:
+    """Decode a line that is not the wire of a live Token, or record why it is unusable."""
+    wire = _unwrap(diagnostics, source, lineno, line)
+    if wire is None:
+        return None
+    # A quoted line's wire may still have a live Token.
+    read = decode if line.startswith('"') else _decode_unseen
     try:
-        return read(line)
+        return read(wire)
     except DecodeError as exc:
         diagnostics.append(BundleDiagnostic(source=source, line=lineno, code=f"decode: {exc}"))
         return None
+
+
+def _scan_bundle(sources: list[str | Path]) -> tuple[list[str], list[tuple]]:
+    """The wire and :func:`~vouchsafe.tokens._links` record of each line that
+    :func:`load_bundle` would read and whose payload parses, in order.
+
+    Lines are read as ``load_bundle`` reads them, but no Token is built and
+    no diagnostic is kept.
+    """
+    wires: list[str] = []
+    records: list[tuple] = []
+    unused: list[BundleDiagnostic] = []
+    for name, single, lines in _source_lines(sources):
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line and not single:
+                continue
+            wire = _unwrap(unused, name, lineno, line)
+            record = None if wire is None else _links(wire)
+            if record is not None:
+                wires.append(wire)
+                records.append(record)
+    return wires, records
+
+
+def _load_closure(scanned: tuple[list[str], list[tuple]], subject_tid: bytes) -> Bundle:
+    """The tokens of the scanned lines in the closure of a request about
+    ``subject_tid`` (:func:`~vouchsafe.resolution._request_closure`), decoded
+    in bundle order; a line that fails to decode is left out, with no
+    diagnostic."""
+    wires, records = scanned
+    found: list[Token] = []
+    for i in _request_closure(records, subject_tid):
+        try:
+            found.append(decode(wires[i]))
+        except DecodeError:
+            pass
+    return Bundle(tokens=TokenSet(found))
 
 
 def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
@@ -124,7 +182,7 @@ def load_trust_config(source: str | Path) -> list[TrustedPrincipal]:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise TrustConfigError(f"{source}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         raise TrustConfigError(f"{source}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise TrustConfigError(f"{source}: JSON nests too deeply") from None

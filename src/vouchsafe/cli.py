@@ -20,6 +20,8 @@ from pathlib import Path
 from .bundles import (
     Bundle,
     TrustConfigError,
+    _load_closure,
+    _scan_bundle,
     load_bundle,
     load_trust_config,
     temporal_filter,
@@ -35,7 +37,7 @@ from .evaluation import (
 )
 from .graph import Scope
 from .identity import IdentityError, derive_identity, generate_keypair, load_keypair, save_seed
-from .resolution import CleanSet, TokenSet, _closure, filter_valid, resolve
+from .resolution import CleanSet, TokenSet, filter_valid, resolve
 from .tokens import (
     _OPTIONAL_CLAIMS,
     DecodeError,
@@ -217,13 +219,12 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _load_filtered(paths: list[str], now: int | None) -> tuple[Bundle, Bundle]:
-    """The bundle as read, and what is left of it after temporal filtering."""
+def _read_bundle(read, paths: list[str]):
+    """``read(paths)``, with a bundle file that cannot be read as a data error."""
     try:
-        bundle = load_bundle(paths)
+        return read(paths)
     except OSError as exc:
         raise DataError(f"cannot read bundle: {exc}") from exc
-    return bundle, temporal_filter(bundle, now)
 
 
 def _fates(bundle: Bundle, filtered: Bundle, clean: CleanSet, now: int | None) -> tuple[list[Token], list[dict]]:
@@ -259,7 +260,8 @@ def _diagnostics_json(bundle: Bundle, valid: TokenSet) -> list:
 
 
 def cmd_resolve(args) -> int:
-    bundle, filtered = _load_filtered(args.bundle, args.now)
+    bundle = _read_bundle(load_bundle, args.bundle)
+    filtered = temporal_filter(bundle, args.now)
     valid, _ = filter_valid(filtered.tokens)
     clean = resolve(valid)
     surviving, omitted = _fates(bundle, filtered, clean, args.now)
@@ -331,15 +333,17 @@ def cmd_evaluate(args) -> int:
     except (OSError, TrustConfigError) as exc:
         raise UsageError(str(exc)) from exc
     required = frozenset(label for chunk in args.require for label in chunk.split())
-    _, filtered = _load_filtered(args.bundle, args.now)
+    scanned = _read_bundle(_scan_bundle, args.bundle)
     request = Request(
         subject_tid=_subject_tid(args.subject),
         required=required,
         roots=tuple(roots),
     )
-    # Only the request's closure is verified and resolved: the verdict, the
-    # witness and the explain listing are those of the whole bundle.
-    valid, _ = filter_valid(_closure(filtered.tokens, request.subject_tid))
+    # Only the lines of the request's closure are decoded, verified and
+    # resolved: the verdict, the witness and the explain listing are those
+    # of the whole bundle.
+    closure = temporal_filter(_load_closure(scanned, request.subject_tid), args.now)
+    valid, _ = filter_valid(closure.tokens)
     clean = resolve(valid)
     decision = evaluate(clean, request, max_depth=args.max_depth)
     report = (

@@ -5,7 +5,8 @@ contributes at most one directed edge toward its subject, found by content:
 the subject's tid must equal the vouch's ``vch_sum``, and its (jti, issuer)
 must match the reference.  Edges carry the vouch's scope label.  A vouch
 left without an edge whose (issuer, jti) reference names present statements
-is recorded once per such statement as a near-miss.
+gives one near-miss per such statement, listed when the graph's
+diagnostics are first read.
 
 The graph is acyclic by construction: each node has at most one outgoing
 edge, and an edge commits to its subject by SHA-256 of the subject's exact
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 from .tokens import _STATEMENT_KINDS, _VOUCH, Token
 
 if TYPE_CHECKING:
-    from .resolution import CleanSet
+    from .resolution import CleanSet, TokenSet
 
 
 @dataclass(frozen=True)
@@ -81,17 +82,37 @@ class CapabilityGraph:
     ``scopes`` maps each node's tid to its ``purpose``, parsed once per graph.
     ``edges`` maps a vouch tid to its (subject tid, scope) pair; a vouch has
     at most one outgoing edge.  ``reverse_edges`` inverts that for backward
-    search.  ``diagnostics`` holds one sorted ``(vouch tid, candidate tid)``
-    pair per near-miss: the vouch got no edge, and the candidate is a present
-    statement that its (issuer, jti) reference names but whose tid is not its
-    ``vch_sum`` (possibly a substitution attempt).
+    search.  :attr:`diagnostics` lists the near-misses, computed on first read.
     """
 
     nodes: dict[bytes, Token] = field(default_factory=dict)
     scopes: dict[bytes, Scope] = field(default_factory=dict)
     edges: dict[bytes, tuple[bytes, Scope]] = field(default_factory=dict)
     reverse_edges: dict[bytes, list[bytes]] = field(default_factory=dict)
-    diagnostics: list[tuple[bytes, bytes]] = field(default_factory=list)
+    # What diagnostics reads: the vouches given no edge and the resolved set.
+    # Declared fields, like Token._validity, so no later write adds a key to
+    # the instance __dict__.
+    _edgeless: list[Token] = field(default_factory=list, init=False, repr=False, compare=False)
+    _tokens: TokenSet | None = field(default=None, init=False, repr=False, compare=False)
+    _diagnostics: list[tuple[bytes, bytes]] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def diagnostics(self) -> list[tuple[bytes, bytes]]:
+        """One sorted ``(vouch tid, candidate tid)`` pair per near-miss: the
+        vouch got no edge, and the candidate is a present token that its
+        (issuer, jti) reference names but whose tid is not its ``vch_sum``
+        (possibly a substitution attempt).  Their number can grow with the
+        product of the two, so they are computed on first read, and kept;
+        deciding a request never reads them."""
+        if self._diagnostics is None:
+            by_statement = self._tokens._by_statement() if self._edgeless else {}
+            self._diagnostics = sorted(
+                (vouch.tid, candidate.tid)
+                for vouch in self._edgeless
+                for candidate in by_statement.get((vouch.claims.vch_iss, vouch.claims.sub), ())
+                if candidate.tid_hex != vouch.claims.vch_sum
+            )
+        return self._diagnostics
 
     def dump(self) -> str:
         """Deterministic text rendering in tid order, for audit diffing."""
@@ -113,10 +134,11 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     subject's tid, character for character, which is the link that
     :func:`~vouchsafe.evaluation.path_scope` accepts.  A vouch whose subject
     is absent (never supplied, omitted, or forged) stays as an isolated node:
-    an endorsement of nothing delegates nothing.  Near-misses are recorded per
-    (vouch, candidate) pair, so they grow with the product of the two.
+    an endorsement of nothing delegates nothing.  Such vouches are kept for
+    :attr:`CapabilityGraph.diagnostics`; their near-misses are not sought here.
     """
     graph = CapabilityGraph()
+    graph._tokens = clean.tokens
     parse = functools.cache(parse_scope)  # one shared Scope per distinct purpose
     for token in clean.tokens:
         if token.claims.kind in _STATEMENT_KINDS:
@@ -140,13 +162,8 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
         ):
             graph.edges[tid] = (subject.tid, graph.scopes[tid])
             graph.reverse_edges.setdefault(subject.tid, []).append(tid)
-            continue
-        # No edge.  If some present statement matches the (issuer, jti)
-        # reference but not the content hash, flag the near-miss.
-        for candidate in clean.tokens._by_statement().get((c.vch_iss, c.sub), ()):
-            if candidate.tid_hex != c.vch_sum:
-                graph.diagnostics.append((tid, candidate.tid))
+        else:
+            graph._edgeless.append(token)
     for dsts in graph.reverse_edges.values():
         dsts.sort()
-    graph.diagnostics.sort()
     return graph

@@ -246,58 +246,62 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
                 object.__setattr__(t, "_validity", report)
 
 
-def _closure(tokens: TokenSet, subject_tid: bytes) -> TokenSet:
-    """The tokens of an unverified set that a request about ``subject_tid``
-    can depend on, in the set's order.
+def _request_closure(records: list[tuple], subject_tid: bytes) -> list[int]:
+    """The positions, in order, of the records (:func:`~vouchsafe.tokens._links`)
+    that a request about ``subject_tid`` can depend on.
 
-    Starting from the subject, it takes every vouch whose ``vch_sum`` is the
-    ``tid_hex`` of a statement already taken, and for each statement taken
-    every burn whose ``burns`` is its issuer and every revocation whose
-    (issuer, ``revokes``) is its (issuer, jti).  Each index entry is consumed
-    once, so the work is linear in the tokens.
+    Starting from the first record with the subject's tid, it takes every
+    vouch whose ``vch_sum`` is the hex tid of a statement already taken, and
+    for each statement taken every burn whose ``burns`` is its issuer and
+    every revocation whose (issuer, ``revokes``) is its (issuer, jti).  Each
+    index entry is consumed once, so the work is linear in the records.
 
-    Verifying and resolving the closure instead of the whole set gives every
-    request about this subject the same verdict, witness and path listing:
+    Some records may be of lines that later fail decoding or the clock
+    filter.  Let W be the bundle's decodable, clock-filtered tokens and C
+    this rule applied to W alone.  Every token of W has a record with the
+    same links, and the rule only grows with its input, so the taken lines
+    that survive decoding and the clock filter are a set S with C inside S
+    and S inside W.  Verifying and resolving any such S gives every request
+    about this subject the verdict, witness and path listing of W:
 
     * a statement's clean-set membership depends only on the statement
-      itself, its issuer's burns and its own revocations, all taken with it;
-    * a clean edge requires ``vch_sum == tid_hex`` of its subject, so every
-      voucher of a taken statement is taken too;
-    * so every node that a backward walk from the subject reaches, every edge
-      between such nodes, every ``reverse_edges`` entry that decides
-      ``depth_limited``, and the subject's own membership are the same in the
-      graphs of both sets.
+      itself, its issuer's burns and its own revocations, all in C with it;
+    * a clean edge requires ``vch_sum`` to be its subject's hex tid, so
+      every voucher in W of a statement in C is in C;
+    * so every node that a backward walk from the subject reaches, every
+      edge between such nodes, every ``reverse_edges`` entry that decides
+      ``depth_limited``, and the subject's own membership are the same in
+      the graphs of S and W: a token of S outside C is reached by no such
+      walk, and every burn or revocation of W that bears on a statement of
+      C is in C.
     """
-    subject = tokens._by_tid.get(subject_tid)
-    if subject is None:
-        return TokenSet()
-    vouchers: dict[str, list[Token]] = {}
-    burns: dict[str, list[Token]] = {}
-    revocations: dict[tuple[str, str], list[Token]] = {}
-    for t in tokens:
-        c = t.claims
-        if c.kind is _VOUCH:
-            vouchers.setdefault(c.vch_sum, []).append(t)
-        elif c.kind is _BURN:
-            burns.setdefault(c.burns, []).append(t)
-        elif c.kind is _REVOKE:
-            revocations.setdefault((c.iss, c.revokes), []).append(t)
-    taken = {subject.tid}
-    queue = [subject]
-    # Tokens appended while iterating are visited too.
-    for t in queue:
-        c = t.claims
-        if c.kind not in _STATEMENT_KINDS:
+    vouchers: dict[str, list[int]] = {}
+    burns: dict[str, list[int]] = {}
+    revocations: dict[tuple[str, str], list[int]] = {}
+    start = None
+    for i, (tid, kind, iss, _, link) in enumerate(records):
+        if kind is _VOUCH:
+            vouchers.setdefault(link, []).append(i)
+        elif kind is _BURN:
+            burns.setdefault(link, []).append(i)
+        elif kind is _REVOKE:
+            revocations.setdefault((iss, link), []).append(i)
+        if start is None and tid == subject_tid:
+            start = i
+    if start is None:
+        return []
+    taken = {start}
+    queue = [start]
+    # Positions appended while iterating are visited too.
+    for i in queue:
+        tid, kind, iss, jti, _ = records[i]
+        if kind not in _STATEMENT_KINDS:
             continue
-        for dependency in (
-            *vouchers.pop(t.tid_hex, ()),
-            *burns.pop(c.iss, ()),
-            *revocations.pop((c.iss, c.jti), ()),
-        ):
-            if dependency.tid not in taken:
-                taken.add(dependency.tid)
-                queue.append(dependency)
-    return TokenSet(t for t in tokens if t.tid in taken)
+        for j in (*vouchers.pop(tid.hex(), ()), *burns.pop(iss, ()), *revocations.pop((iss, jti), ())):
+            if j not in taken:
+                taken.add(j)
+                queue.append(j)
+    return sorted(taken)
 
 
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:

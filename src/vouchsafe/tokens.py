@@ -233,7 +233,7 @@ def _b64url_decode_reencoded(segment: str) -> bytes:
 def _decode_json_object(data: bytes, what: str) -> dict:
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
         raise DecodeError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise DecodeError(f"{what} JSON nests too deeply") from None
@@ -323,6 +323,32 @@ def _decode_unseen(wire: str) -> Token:
     )
     _live[wire] = token
     return token
+
+
+# Each kind by its wire value, with the claim that links it into a request's
+# closure (resolution._request_closure).
+_KIND_LINKS = {k.value: (k, claim) for k, claim in
+               ((_ATTEST, None), (_VOUCH, "vch_sum"), (_REVOKE, "revokes"), (_BURN, "burns"))}
+
+
+def _links(wire: str) -> tuple[bytes, TokenKind, str, str, str | None] | None:
+    """What a request's closure reads of a wire, from its payload segment
+    alone: ``(tid, kind, iss, jti, link)``, ``link`` being the claim that
+    ``_KIND_LINKS`` names for the kind.  None when :func:`decode` is sure to
+    fail; a wire with a record may still fail it, as its header and
+    signature are not read."""
+    parts = wire.split(".")
+    if len(parts) != 3 or not wire.isascii():
+        return None
+    try:
+        payload = _decode_json_object(_b64url_decode_strict(parts[1]), "payload")
+        kind, link_claim = _KIND_LINKS[payload.get("kind")]
+    except (DecodeError, KeyError, TypeError):  # TypeError: an array or object as kind
+        return None
+    iss, jti, link = payload.get("iss"), payload.get("jti"), payload.get(link_claim)
+    if isinstance(iss, str) and isinstance(jti, str) and (link is None or isinstance(link, str)):
+        return hashlib.sha256(wire.encode("ascii")).digest(), kind, iss, jti, link
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,23 @@ def shared_jti_lines() -> list[str]:
     return attests + revokes + vouches
 
 
+def broken_vouch(w: dict[str, str]) -> str:
+    """A vouch of s by id1 whose signature segment is not base64url: it never
+    decodes, but its payload links it to s."""
+    head, payload, sig = _vouch(1, w["s"], "broken", purpose="read").split(".")
+    return f"{head}.{payload}.{sig[:-2]}!!"
+
+
 def second_files(w: dict[str, str]) -> dict[str, bytes]:
     """Files read after ``bundle.jsonl``: a burn of id2, which issued the
-    vouch v1 that every rooted path to s crosses; a revocation of v1; and an
-    unrelated bad-signature line with a garbage line."""
+    vouch v1 that every rooted path to s crosses; a revocation of v1; an
+    unrelated bad-signature line with a garbage line; and the broken vouch
+    of s with a JSON-quoted copy of v0b, a vouch on the witness path."""
     return {
         "burn-mid.jsonl": (_sign(2, oracles.BURN, "b2", burns=_urn(2)) + "\n").encode(),
         "revoke-mid.jsonl": (_sign(2, oracles.REVOKE, "rv1", **_ref(w["s"]), revokes="v1") + "\n").encode(),
         "noise.jsonl": (_sign(3, oracles.ATTEST, "noise", by=4) + "\ngarbage\n").encode(),
+        "linked-noise.jsonl": (broken_vouch(w) + "\n" + json.dumps(w["v0b"]) + "\n").encode(),
     }
 
 

@@ -97,6 +97,19 @@ class TestLoadBundle:
             (1, "decode: header JSON nests too deeply")
         ]
 
+    def test_integer_too_long_to_convert_becomes_diagnostic(self, alice, tmp_path):
+        kp, ident = alice
+        good = issue_attest(kp, ident)
+        head, _, sig = good.wire.split(".")
+        huge = oracles.b64url(b'{"iat":' + b"1" * 5000 + b"}")
+        path = tmp_path / "b.jsonl"
+        path.write_text(f"{head}.{huge}.{sig}\n{good.wire}\n")
+        bundle = load_bundle([path])
+        assert {t.tid for t in bundle.tokens} == {good.tid}
+        assert [(d.line, d.code[:46]) for d in bundle.diagnostics] == [
+            (1, "decode: payload is not valid JSON: Exceeds the")
+        ]
+
     def test_unreadable_source_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_bundle([tmp_path / "missing.jsonl"])
@@ -487,6 +500,12 @@ class TestTrustConfig:
         path = tmp_path / "trust.json"
         path.write_text("{nope")
         with pytest.raises(TrustConfigError):
+            load_trust_config(path)
+
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        path = tmp_path / "trust.json"
+        path.write_text("[" + "1" * 5000 + "]")
+        with pytest.raises(TrustConfigError, match="not valid JSON: Exceeds the limit"):
             load_trust_config(path)
 
     def test_non_list_rejected(self, tmp_path):

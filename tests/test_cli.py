@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import generators
 import oracles
 import vouchsafe.cli
+import vouchsafe.graph
 import vouchsafe.resolution
 import vouchsafe.tokens
 from vouchsafe import (
@@ -633,30 +634,62 @@ def _three_hop_chain() -> list[str]:
 
 def test_evaluate_verifies_only_the_request_closure(tmp_path, run, monkeypatch):
     """Unrelated and invalid tokens added to a bundle cost ``evaluate`` no
-    signature check: the number of ``verify`` calls is that of the closure."""
+    Token and no signature check: the Tokens built and the ``verify`` calls
+    are the 4-token chain's, with 150 and with 300 noise lines."""
     chain = _three_hop_chain()
     subject = oracles.tid_hex_of(chain[0])
     trust = write(tmp_path / "trust.json", json.dumps([{"identity": generators.POOL[0][1].urn,
                                                          "scope": "*"}]))
-    calls = []
-    real = vouchsafe.tokens.verify
-    monkeypatch.setattr(vouchsafe.tokens, "verify", lambda t: calls.append(t.tid) or real(t))
+    built, verified = [], []
+    real_decode, real_verify = vouchsafe.tokens._decode_unseen, vouchsafe.tokens.verify
+    monkeypatch.setattr(vouchsafe.tokens, "_decode_unseen", lambda w: built.append(w) or real_decode(w))
+    monkeypatch.setattr(vouchsafe.tokens, "verify", lambda t: verified.append(t.tid) or real_verify(t))
     n = 150
-    counts, closures, outputs = [], [], []
+    counts, outputs = [], []
     for size in (n, 2 * n):
         noise = generators.random_wire_mix(random.Random(size), size)
         bundle = write(tmp_path / f"b{size}.jsonl", "".join(w + "\n" for w in noise + chain))
-        closures.append(len(vouchsafe.resolution._closure(load_bundle([bundle]).tokens,
-                                                            bytes.fromhex(subject))))
         gc.collect()  # no Token of the previous run, or its report, is reused
-        calls.clear()
+        built.clear()
+        verified.clear()
         code, out, _ = run("evaluate", bundle, "--trust", trust, "--subject", subject,
                            "--require", "read", "--explain", "--json")
-        counts.append(len(calls))
+        counts.append((sorted(built), len(verified)))
         outputs.append((code, json.loads(out)["witness"]))
-    assert closures == [len(chain)] * 2
-    assert counts == closures
+    assert counts == [(sorted(chain), len(chain))] * 2
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_evaluate_computes_no_near_miss(tmp_path, run, monkeypatch):
+    """An attest, n vouches of it sharing one (issuer, jti), and n vouches
+    whose ``vch_sum`` is the attest's tid but whose reference names that
+    pair: all 2n + 1 are in the attest's closure, and its graph has n * n
+    near-misses.  ``evaluate`` computes none of them; reading the graph's
+    diagnostics afterwards gives all of them."""
+    n = 12
+    seed4, seed1 = (generators.SEED_BY_URN[generators.POOL[i][1].urn] for i in (4, 1))
+    attest = oracles.craft_wire(seed4, oracles.standard_claims(seed4, "id4", oracles.ATTEST, "a"))
+    ref = {"sub": "a", "vch_iss": generators.POOL[4][1].urn, "vch_sum": oracles.tid_hex_of(attest)}
+    shared = [oracles.craft_wire(seed1, oracles.standard_claims(seed1, "id1", oracles.VOUCH, "same", **ref,
+                                                                note=str(i))) for i in range(n)]
+    misnamed = {**ref, "sub": "same", "vch_iss": generators.POOL[1][1].urn}
+    wrong = [oracles.craft_wire(seed1, oracles.standard_claims(seed1, "id1", oracles.VOUCH, f"w{i}", **misnamed))
+             for i in range(n)]
+    bundle = write(tmp_path / "b.jsonl", "".join(w + "\n" for w in [attest, *shared, *wrong]))
+    trust = write(tmp_path / "trust.json", json.dumps([{"identity": generators.POOL[1][1].urn,
+                                                         "scope": "*"}]))
+    pairs, cleans = [], []
+    real_evaluate = vouchsafe.cli.evaluate
+    diagnostics = vouchsafe.graph.CapabilityGraph.diagnostics
+    monkeypatch.setattr(vouchsafe.cli, "evaluate", lambda clean, *a, **k: cleans.append(clean)
+                        or real_evaluate(clean, *a, **k))
+    monkeypatch.setattr(vouchsafe.graph.CapabilityGraph, "diagnostics",
+                        property(lambda g: pairs.extend(diagnostics.fget(g)) or g._diagnostics))
+    code, out, _ = run("evaluate", bundle, "--trust", trust, "--subject", oracles.tid_hex_of(attest), "--json")
+    assert (code, json.loads(out)["verdict"], pairs) == (0, "ACCEPT", [])
+    (clean,) = cleans
+    assert len(clean.tokens) == 2 * n + 1 and clean.graph._diagnostics is None
+    assert len(clean.graph.diagnostics) == len(pairs) == n * n
 
 
 def test_cli_import_skips_keygen_and_issuance_modules():

@@ -38,10 +38,13 @@ def test_case_output_is_unchanged(index, monkeypatch):
 
 def test_noise_file_changes_no_output_byte():
     """``noise.jsonl`` holds an unrelated bad-signature line and a garbage
-    line; a case that also reads it expects what the case without it does."""
-    noisy = [i for i, case in enumerate(CASES) if " noise.jsonl" in case]
-    assert noisy
-    for i in noisy:
-        plain = CASES.index(CASES[i].replace(" noise.jsonl", ""))
-        outputs = [regen.expected_path(j).read_text(encoding="utf-8").split("\n", 1)[1] for j in (plain, i)]
-        assert outputs[0] == outputs[1]
+    line; ``linked-noise.jsonl`` a vouch of the subject that never decodes
+    and a JSON-quoted copy of a line already read.  A case that also reads
+    one expects what the case without it does."""
+    for name in ("noise.jsonl", "linked-noise.jsonl"):
+        noisy = [i for i, case in enumerate(CASES) if f" {name}" in case]
+        assert noisy, name
+        for i in noisy:
+            plain = CASES.index(CASES[i].replace(f" {name}", ""))
+            outputs = [regen.expected_path(j).read_text(encoding="utf-8").split("\n", 1)[1] for j in (plain, i)]
+            assert outputs[0] == outputs[1]

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 import os
 import pickle
 import random
@@ -27,12 +28,14 @@ from vouchsafe import (
     issue_burn,
     issue_revoke,
     issue_vouch,
+    load_bundle,
     resolve,
     temporal_filter,
     verify,
 )
 
 import generators
+from vouchsafe.bundles import _load_closure, _scan_bundle
 
 
 def kinds(clean):
@@ -351,21 +354,36 @@ def test_resolve_reads_each_subject_triple_at_most_once(n, monkeypatch):
     assert len(calls) == len(set(calls)) <= 3 * n
 
 
+def _corrupt(wire: str, rng: random.Random) -> str:
+    """The wire with its header or signature segment broken: ``decode``
+    fails, but the payload, and so every link it makes, is intact."""
+    head, payload, sig = wire.split(".")
+    if rng.random() < 0.5:
+        return f"!{head[1:]}.{payload}.{sig}"
+    return f"{head}.{payload}.{sig[:-2]}!!"
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     now=st.one_of(st.none(), st.integers(0, 400)),
-    pick=st.sampled_from(["statement", "control", "absent", "chain"]),
+    pick=st.sampled_from(["statement", "control", "absent", "chain", "broken"]),
     max_depth=st.sampled_from([0, 1, 2, 4]),
     limit=st.sampled_from([1, 3, 100]),
 )
 @settings(max_examples=300, deadline=None)
-def test_closure_decides_as_the_whole_set(seed, now, pick, max_depth, limit):
-    """Verifying and resolving only a request's closure gives the verdict,
-    witness and path listing of the whole set, and the oracle's verdict.
+def test_closure_decides_as_the_whole_set(tmp_path_factory, seed, now, pick, max_depth, limit):
+    """Decoding, verifying and resolving only the lines of a request's
+    closure gives the verdict, witness and path listing of the whole-bundle
+    pipeline (``load_bundle``, ``temporal_filter``, ``filter_valid``,
+    ``resolve``), and the oracle's verdict.
 
-    The set mixes shared statement ids and mismatched revocations, a chain
-    of vouches longer than ``max_depth`` with validity windows, bad-signature
-    copies of random tokens, and sometimes a revocation of a chain vouch."""
+    The bundle mixes shared statement ids and mismatched revocations, a
+    chain of vouches longer than ``max_depth`` with validity windows,
+    bad-signature copies of random tokens, sometimes a revocation of a chain
+    vouch, and lines that fail ``decode`` while their payload still links
+    into the closure (a chain vouch's or a random token's header or
+    signature broken), a JSON-quoted copy, an exact duplicate, a non-UTF-8
+    line and garbage."""
     rng = random.Random(seed)
     tokens = generators.random_token_set(rng, max_tokens=14, shared_ids=True)
     statements = [t for t in tokens if t.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH)]
@@ -387,6 +405,7 @@ def test_closure_decides_as_the_whole_set(seed, now, pick, max_depth, limit):
         vouch = rng.choice(chain[1:])
         tokens.append(issue_revoke(*generators.POOL_BY_URN[vouch.claims.iss], vouch))
     tokens += [decode(generators.bad_signature(t)) for t in rng.sample(tokens, 3)]
+    broken = [_corrupt(t.wire, rng) for t in (rng.choice(chain[1:]), rng.choice(tokens))]
     controls = [t for t in tokens if t.claims.kind in (TokenKind.REVOKE, TokenKind.BURN)]
     if pick == "statement":
         subject_tid = rng.choice([t for t in tokens if t not in controls]).tid
@@ -394,12 +413,23 @@ def test_closure_decides_as_the_whole_set(seed, now, pick, max_depth, limit):
         subject_tid = rng.choice(controls).tid
     elif pick == "chain":
         subject_tid = chain[0].tid
+    elif pick == "broken":
+        subject_tid = bytes.fromhex(oracles.tid_hex_of(broken[0]))
     else:
         subject_tid = rng.getrandbits(256).to_bytes(32, "big")
-    rng.shuffle(tokens)
+    lines = [t.wire.encode() for t in tokens] + [w.encode() for w in broken]
+    lines += [
+        json.dumps(rng.choice(tokens).wire).encode(),
+        rng.choice(tokens).wire.encode(),
+        b"\xff" + rng.choice(tokens).wire.encode(),
+        b"garbage",
+    ]
+    rng.shuffle(lines)
+    path = tmp_path_factory.getbasetemp() / "closure.jsonl"  # rewritten by every example
+    path.write_bytes(b"\n".join(lines) + b"\n")
 
-    filtered = temporal_filter(Bundle(tokens=TokenSet(tokens)), now).tokens
-    closure = vouchsafe.resolution._closure(filtered, subject_tid)
+    filtered = temporal_filter(load_bundle([path]), now).tokens
+    closure = temporal_filter(_load_closure(_scan_bundle([path]), subject_tid), now).tokens
     assert [t.tid for t in closure] == [t.tid for t in filtered if t.tid in closure]
     whole, part = (resolve(filter_valid(s)[0]) for s in (filtered, closure))
     roots_raw = generators.random_roots(rng)
