@@ -4,9 +4,9 @@ Nodes are the attest/vouch tokens that survive state resolution.  Each vouch
 contributes at most one directed edge toward its subject, found by content:
 the subject's tid must equal the vouch's ``vch_sum``, and its (jti, issuer)
 must match the reference.  Edges carry the vouch's scope label.  A vouch
-left without an edge whose (issuer, jti) reference names present statements
-gives one near-miss per such statement, listed when the graph's
-diagnostics are first read.
+left without an edge whose (issuer, jti) reference names present tokens
+gives one near-miss per such token, listed when the graph's diagnostics
+are first read.
 
 The graph is acyclic by construction: each node has at most one outgoing
 edge, and an edge commits to its subject by SHA-256 of the subject's exact
@@ -89,10 +89,9 @@ class CapabilityGraph:
     scopes: dict[bytes, Scope] = field(default_factory=dict)
     edges: dict[bytes, tuple[bytes, Scope]] = field(default_factory=dict)
     reverse_edges: dict[bytes, list[bytes]] = field(default_factory=dict)
-    # What diagnostics reads: the vouches given no edge and the resolved set.
+    # What diagnostics reads: the resolved set, unset in a graph built by hand.
     # Declared fields, like Token._validity, so no later write adds a key to
     # the instance __dict__.
-    _edgeless: list[Token] = field(default_factory=list, init=False, repr=False, compare=False)
     _tokens: TokenSet | None = field(default=None, init=False, repr=False, compare=False)
     _diagnostics: list[tuple[bytes, bytes]] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -105,10 +104,11 @@ class CapabilityGraph:
         product of the two, so they are computed on first read, and kept;
         deciding a request never reads them."""
         if self._diagnostics is None:
-            by_statement = self._tokens._by_statement() if self._edgeless else {}
+            by_statement = self._tokens._by_statement() if self._tokens is not None else {}
             self._diagnostics = sorted(
-                (vouch.tid, candidate.tid)
-                for vouch in self._edgeless
+                (tid, candidate.tid)
+                for tid, vouch in self.nodes.items()
+                if vouch.claims.kind is _VOUCH and tid not in self.edges
                 for candidate in by_statement.get((vouch.claims.vch_iss, vouch.claims.sub), ())
                 if candidate.tid_hex != vouch.claims.vch_sum
             )
@@ -130,40 +130,30 @@ def build_graph(clean: CleanSet) -> CapabilityGraph:
     """Construct the delegation graph from a resolved token set.
 
     A vouch gets an edge exactly when its subject reference equals a node's
-    ``(jti, iss, tid_hex)``: ``vch_sum`` must be the lower-case hex of the
-    subject's tid, character for character, which is the link that
-    :func:`~vouchsafe.evaluation.path_scope` accepts.  A vouch whose subject
-    is absent (never supplied, omitted, or forged) stays as an isolated node:
-    an endorsement of nothing delegates nothing.  Such vouches are kept for
-    :attr:`CapabilityGraph.diagnostics`; their near-misses are not sought here.
+    ``(jti, iss, tid_hex)``, by one lookup of the exact ``vch_sum`` string:
+    the link that :func:`~vouchsafe.evaluation.path_scope` accepts.  A vouch
+    whose subject is absent (never supplied, omitted, or forged) stays as an
+    isolated node: an endorsement of nothing delegates nothing.  Its
+    near-misses are sought only when :attr:`CapabilityGraph.diagnostics` is read.
     """
     graph = CapabilityGraph()
     graph._tokens = clean.tokens
     parse = functools.cache(parse_scope)  # one shared Scope per distinct purpose
+    by_hex: dict[str, Token] = {}
     for token in clean.tokens:
         if token.claims.kind in _STATEMENT_KINDS:
             graph.nodes[token.tid] = token
             graph.scopes[token.tid] = parse(token.claims.purpose)
+            by_hex[token.tid_hex] = token
 
     for tid, token in graph.nodes.items():
         if token.claims.kind is not _VOUCH:
             continue
         c = token.claims
-        try:
-            subject_tid = bytes.fromhex(c.vch_sum) if c.vch_sum else None
-        except ValueError:
-            subject_tid = None
-        subject = graph.nodes.get(subject_tid) if subject_tid else None
-        if (
-            subject is not None
-            and subject.tid_hex == c.vch_sum
-            and subject.claims.jti == c.sub
-            and subject.claims.iss == c.vch_iss
-        ):
+        subject = by_hex.get(c.vch_sum)
+        if subject is not None and subject.claims.jti == c.sub and subject.claims.iss == c.vch_iss:
             graph.edges[tid] = (subject.tid, graph.scopes[tid])
             graph.reverse_edges.setdefault(subject.tid, []).append(tid)
-        else:
-            graph._edgeless.append(token)
     for dsts in graph.reverse_edges.values():
         dsts.sort()
     return graph

@@ -37,10 +37,9 @@ class TokenSet:
     for diagnostics.
 
     The members are fixed by the constructor; no method adds or removes one.
-    The (issuer, jti) index behind :meth:`by_statement` and
-    :meth:`duplicate_statement_ids` is built on the first such query, so a
-    set that is never asked (every pipeline stage's intermediate set) never
-    pays for it.
+    The (issuer, jti) index behind :meth:`duplicate_statement_ids` and the
+    graph's near-misses is built on the first such query, so a set that is
+    never asked (every pipeline stage's intermediate set) never pays for it.
     """
 
     def __init__(self, tokens: Iterable[Token] = ()) -> None:
@@ -57,10 +56,6 @@ class TokenSet:
             for t in self._by_tid.values():
                 self._statements.setdefault((t.claims.iss, t.claims.jti), []).append(t)
         return self._statements
-
-    def by_statement(self, iss: str, jti: str) -> list[Token]:
-        """Every token claiming this (issuer, jti) statement, in insertion order."""
-        return list(self._by_statement().get((iss, jti), ()))
 
     def duplicate_statement_ids(self) -> list[tuple[str, str]]:
         """(issuer, jti) pairs claimed by more than one distinct wire."""

@@ -202,6 +202,14 @@ def second_files(w: dict[str, str]) -> dict[str, bytes]:
     }
 
 
+def line_break_bytes(w: dict[str, str]) -> bytes:
+    """Garbage lines holding, mid-line, a form feed, U+001C and U+2028, at
+    each of which ``str.splitlines`` also ends a line, around a copy of v1, a
+    valid line of s's chain."""
+    lines = ["garbage\fe30.W10.AAAA", 'garbage\x1c"{}', w["v1"], "garbage\u2028garbage"]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def input_files() -> dict[str, bytes]:
     """Every input file's bytes, by its name in this directory."""
     w = bundle_lines()
@@ -216,6 +224,7 @@ def input_files() -> dict[str, bytes]:
         "shared-jti.jsonl": "".join(x + "\n" for x in shared_jti_lines()).encode(),
         "valid.jwt": (w["s"] + "\n").encode(),
         "invalid.jwt": (w["bad-key"] + "\n").encode(),
+        "line-breaks.jsonl": line_break_bytes(w),
         **second_files(w),
         **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},
     }

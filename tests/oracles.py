@@ -136,6 +136,31 @@ def oracle_revoked_statements(wires: list[str]) -> dict[tuple[str, str], str]:
     return revoked
 
 
+def oracle_near_misses(wires: list[str]) -> list[tuple[str, str]]:
+    """Sorted (vouch tid hex, candidate tid hex) pairs, by double loop over the
+    clean set: each clean vouch that no clean attest or vouch links exactly
+    (jti is its ``sub``, iss its ``vch_iss``, tid hex its ``vch_sum``), with
+    each clean token of any kind whose (iss, jti) is its (``vch_iss``,
+    ``sub``) and whose tid hex is not its ``vch_sum``."""
+    clean_tids = oracle_clean_tids(wires)
+    clean = [(tid_hex_of(w), payload_of(w)) for w in dict.fromkeys(wires) if tid_hex_of(w) in clean_tids]
+    pairs = []
+    for v, p in clean:
+        if p["kind"] != VOUCH:
+            continue
+        if any(
+            q["kind"] in (ATTEST, VOUCH) and q["jti"] == p.get("sub") and q["iss"] == p.get("vch_iss")
+            and u == p.get("vch_sum")
+            for u, q in clean
+        ):
+            continue
+        pairs += [
+            (v, u) for u, q in clean
+            if (q["iss"], q["jti"]) == (p.get("vch_iss"), p.get("sub")) and u != p.get("vch_sum")
+        ]
+    return sorted(pairs)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation oracle: exhaustive simple-path enumeration plus the scope formula
 # ---------------------------------------------------------------------------

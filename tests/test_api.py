@@ -1,5 +1,8 @@
-"""The public API is the names in ``vouchsafe.__all__``: adding, removing or
-renaming one is a deliberate edit of this list, recorded in the README."""
+"""The public API is the names in ``vouchsafe.__all__``, and the public
+fields and methods of the pipeline's container classes: adding, removing or
+renaming one is a deliberate edit of these lists, recorded in the README."""
+
+import dataclasses
 
 import vouchsafe
 
@@ -55,6 +58,13 @@ PUBLIC_NAMES = [
     "verify",
 ]
 
+PUBLIC_MEMBERS = {
+    "Bundle": ["diagnostics", "tokens"],
+    "CapabilityGraph": ["diagnostics", "dump", "edges", "nodes", "reverse_edges", "scopes"],
+    "CleanSet": ["burned_identities", "graph", "revoked_statements", "tokens"],
+    "TokenSet": ["duplicate_statement_ids"],
+}
+
 
 def test_public_names_are_pinned():
     assert sorted(vouchsafe.__all__) == PUBLIC_NAMES
@@ -63,3 +73,10 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in vouchsafe.__all__:
         assert getattr(vouchsafe, name) is not None, name
+
+
+def test_container_members_are_pinned():
+    for name, members in PUBLIC_MEMBERS.items():
+        cls = getattr(vouchsafe, name)
+        fields = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+        assert sorted({m for m in [*fields, *dir(cls)] if not m.startswith("_")}) == members, name

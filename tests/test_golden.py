@@ -39,10 +39,12 @@ def test_case_output_is_unchanged(index, monkeypatch):
 def test_noise_file_changes_no_output_byte():
     """``noise.jsonl`` holds an unrelated bad-signature line and a garbage
     line; ``linked-noise.jsonl`` a vouch of the subject that never decodes
-    and a JSON-quoted copy of a line already read.  A case that also reads
-    one expects what the case without it does."""
-    for name in ("noise.jsonl", "linked-noise.jsonl"):
-        noisy = [i for i, case in enumerate(CASES) if f" {name}" in case]
+    and a JSON-quoted copy of a line already read; ``line-breaks.jsonl``
+    garbage split by line-ending characters other than newline, and a copy
+    of a line already read.  A case that also reads one after another
+    bundle file expects what the case without it does."""
+    for name in ("noise.jsonl", "linked-noise.jsonl", "line-breaks.jsonl"):
+        noisy = [i for i, case in enumerate(CASES) if f".jsonl {name}" in case]
         assert noisy, name
         for i in noisy:
             plain = CASES.index(CASES[i].replace(f" {name}", ""))

@@ -129,7 +129,9 @@ class TestBuildGraph:
         g = build_graph(resolve(TokenSet([a, dup, v])))
         assert g.edges[v.tid][0] == dup.tid
 
-    def test_hash_mismatch_diagnostic(self, alice, root):
+    @staticmethod
+    def _forged_vouch(alice):
+        """An attest, and a vouch naming its (issuer, jti) with a wrong ``vch_sum``."""
         kp_a, ident_a = alice
         a = issue_attest(kp_a, ident_a)
         seed = b"\x22" * 32
@@ -142,9 +144,23 @@ class TestBuildGraph:
                 ),
             )
         )
+        return a, forged
+
+    def test_hash_mismatch_diagnostic(self, alice):
+        a, forged = self._forged_vouch(alice)
         g = build_graph(resolve(TokenSet([a, forged])))
         assert g.edges == {}
         assert g.diagnostics == [(forged.tid, a.tid)]
+
+    def test_hand_built_graph_has_no_diagnostics(self, alice):
+        """A graph built without :func:`build_graph` has no resolved set to
+        draw candidates from, so even its edgeless vouch reads no near-miss."""
+        a, forged = self._forged_vouch(alice)
+        g = CapabilityGraph(
+            nodes={a.tid: a, forged.tid: forged},
+            scopes={a.tid: UNCONSTRAINED, forged.tid: UNCONSTRAINED},
+        )
+        assert g.diagnostics == []
 
     def test_vouch_scope_on_edge_unconstrained_when_absent(self, alice, root):
         kp_a, ident_a = alice
@@ -209,34 +225,52 @@ def _non_canonical(rng: random.Random, tid_hex: str) -> str:
     return rng.choice([v for v in variants if v != tid_hex])
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_edges_are_exactly_path_scope_links(seed):
-    """Unfiltered sets (as handed to ``resolve`` directly) may hold vouches
-    whose ``vch_sum`` spells the subject's tid non-canonically: none gets an
-    edge, one whose subject survives is a near-miss, and every edge's two-node
-    path is a delegation link that ``path_scope`` accepts."""
-    rng = random.Random(seed)
-    tokens = generators.random_token_set(rng)
+def _with_non_canonical_vouches(rng: random.Random, shared_ids: bool = False):
+    """An unfiltered random set (as handed to ``resolve`` directly) holding an
+    attest, and apart from it 1-3 vouches whose ``vch_sum`` spells the tid of
+    one of its tokens, of any kind, non-canonically."""
+    tokens = generators.random_token_set(rng, shared_ids=shared_ids)
     tokens.append(generators.craft(rng, generators.POOL[0][1].urn, oracles.ATTEST))
-    statements = [t for t in tokens if t.claims.kind in (TokenKind.ATTEST, TokenKind.VOUCH)]
     crafted = []
     for _ in range(rng.randint(1, 3)):
-        subject = rng.choice(statements)
+        subject = rng.choice(tokens)
         _, ident = generators.POOL[rng.randrange(len(generators.POOL))]
         crafted.append(generators.craft(
             rng, ident.urn, oracles.VOUCH, sub=subject.claims.jti, vch_iss=subject.claims.iss,
             vch_sum=_non_canonical(rng, subject.tid_hex),
         ))
-    clean = resolve(TokenSet(tokens + crafted))
-    g = build_graph(clean)
+    return tokens, crafted
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_edges_are_exactly_path_scope_links(seed):
+    """A vouch whose ``vch_sum`` spells its subject's tid non-canonically gets
+    no edge, and its near-misses are exactly the oracle's; every edge's
+    two-node path is a delegation link that ``path_scope`` accepts."""
+    tokens, crafted = _with_non_canonical_vouches(random.Random(seed))
+    g = build_graph(resolve(TokenSet(tokens + crafted)))
     for src, (dst, _) in g.edges.items():
         voucher = g.nodes[src]
         path_scope(TrustedPrincipal(voucher.claims.iss, UNCONSTRAINED), [voucher, g.nodes[dst]])
+    expected = oracles.oracle_near_misses([t.wire for t in tokens + crafted])
     for v in crafted:
         assert v.tid not in g.edges
-        if v.tid in g.nodes and clean.tokens.by_statement(v.claims.vch_iss, v.claims.sub):
-            assert any(d[0] == v.tid for d in g.diagnostics)
+        assert [(a.hex(), b.hex()) for a, b in g.diagnostics if a == v.tid] == [
+            pair for pair in expected if pair[0] == v.tid_hex
+        ]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_diagnostics_equal_the_near_miss_oracle(seed):
+    """On sets dense in shared (issuer, jti) ids, with non-canonical vouches
+    naming any kind of token, the near-misses are the oracle's, entry for
+    entry and in order."""
+    tokens, crafted = _with_non_canonical_vouches(random.Random(seed), shared_ids=True)
+    g = build_graph(resolve(TokenSet(tokens + crafted)))
+    got = [(a.hex(), b.hex()) for a, b in g.diagnostics]
+    assert got == oracles.oracle_near_misses([t.wire for t in tokens + crafted])
 
 
 def test_newline_vch_sum_vouch_is_invalid_and_rejects():

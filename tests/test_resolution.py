@@ -77,15 +77,12 @@ class TestTokenSet:
             for i in range(n)
         ]
         others = [decode(oracles.craft_wire(seed, c)) for c in claims]
-        return ident.urn, t, others
+        return t, others
 
-    def test_by_statement_in_insertion_order(self, alice):
-        urn, t, (d1, d2) = self._same_statement(alice, 2)
+    def test_iteration_in_insertion_order(self, alice):
+        t, (d1, d2) = self._same_statement(alice, 2)
         for order in ([d2, t, d1], [d1, d2, t], [t, d2, d1]):
-            ts = TokenSet(order)
-            assert ts.by_statement(urn, t.claims.jti) == order
-            assert ts.by_statement(urn, "absent") == []
-            assert list(ts) == order
+            assert list(TokenSet(order)) == order
 
     def test_first_token_per_tid_kept(self, alice):
         kp, ident = alice
