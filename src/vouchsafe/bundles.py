@@ -4,7 +4,7 @@ Bundles need no signing or wrapper metadata: every token authenticates
 itself, so a bundle is just lines of compact JWTs (``.jwt`` files hold a
 single token).  Unparseable lines, non-UTF-8 ones too, become diagnostics
 instead of aborting the load; adversarial bundles are expected input.  To
-decide one request, the same lines can instead be scanned for their links
+decide one request, the same lines can instead be scanned for their wires
 alone, and only those in the request's closure decoded.
 
 Temporal filtering is application policy layered in front of resolution: it
@@ -24,7 +24,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet, _request_closure
-from .tokens import _STATEMENT_KINDS, DecodeError, Token, _decode_unseen, _links, _live, decode
+from .tokens import _STATEMENT_KINDS, DecodeError, Token, _live, decode
 
 
 class TrustConfigError(ValueError):
@@ -49,7 +49,7 @@ class Bundle:
 def load_bundle(sources: list[str | Path]) -> Bundle:
     """Read tokens from ``.jwt`` single-token files and JWT-per-line files.
 
-    Blank lines are skipped; a line may optionally be a JSON-quoted string.
+    Blank lines of JWT-per-line files are skipped; a line may be JSON-quoted.
     Exact duplicates (same wire) collapse to one token.  A line holding bytes
     that are not UTF-8 becomes a ``not-utf-8`` diagnostic.
 
@@ -63,10 +63,13 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
             line = line.strip()
             token = _live.get(line)
             if token is None:
-                if not line and not single:
+                wire = _unwrap(diagnostics, name, lineno, line, single)
+                if wire is None:
                     continue
-                token = _read_line(diagnostics, name, lineno, line)
-                if token is None:
+                try:
+                    token = decode(wire)
+                except DecodeError as exc:
+                    diagnostics.append(BundleDiagnostic(source=name, line=lineno, code=f"decode: {exc}"))
                     continue
             found.append(token)
     return Bundle(tokens=TokenSet(found), diagnostics=diagnostics)
@@ -85,9 +88,12 @@ def _source_lines(sources: list[str | Path]) -> Iterator[tuple[str, bool, list[s
         yield str(path), single, lines
 
 
-def _unwrap(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> str | None:
+def _unwrap(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str, single: bool) -> str | None:
     """The wire a stripped line holds, itself or the JSON string it quotes, or
-    None after recording why it holds none."""
+    None: silently for a blank line of a multi-line file, otherwise after
+    recording why it holds none."""
+    if not line and not single:
+        return None
     if not line.isascii() and any("\udc80" <= c <= "\udcff" for c in line):
         diagnostics.append(BundleDiagnostic(source=source, line=lineno, code="not-utf-8"))
         return None
@@ -100,53 +106,30 @@ def _unwrap(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line:
     return line
 
 
-def _read_line(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str) -> Token | None:
-    """Decode a line that is not the wire of a live Token, or record why it is unusable."""
-    wire = _unwrap(diagnostics, source, lineno, line)
-    if wire is None:
-        return None
-    # A quoted line's wire may still have a live Token.
-    read = decode if line.startswith('"') else _decode_unseen
-    try:
-        return read(wire)
-    except DecodeError as exc:
-        diagnostics.append(BundleDiagnostic(source=source, line=lineno, code=f"decode: {exc}"))
-        return None
-
-
-def _scan_bundle(sources: list[str | Path]) -> tuple[list[str], list[tuple]]:
-    """The wire and :func:`~vouchsafe.tokens._links` record of each line that
-    :func:`load_bundle` would read and whose payload parses, in order.
+def _scan_bundle(sources: list[str | Path]) -> list[str]:
+    """The wire of each line that :func:`load_bundle` would decode, in order.
 
     Lines are read as ``load_bundle`` reads them, but no Token is built and
     no diagnostic is kept.
     """
-    wires: list[str] = []
-    records: list[tuple] = []
     unused: list[BundleDiagnostic] = []
-    for name, single, lines in _source_lines(sources):
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line and not single:
-                continue
-            wire = _unwrap(unused, name, lineno, line)
-            record = None if wire is None else _links(wire)
-            if record is not None:
-                wires.append(wire)
-                records.append(record)
-    return wires, records
+    return [
+        wire
+        for name, single, lines in _source_lines(sources)
+        for lineno, line in enumerate(lines, start=1)
+        if (wire := _unwrap(unused, name, lineno, line.strip(), single)) is not None
+    ]
 
 
-def _load_closure(scanned: tuple[list[str], list[tuple]], subject_tid: bytes) -> Bundle:
-    """The tokens of the scanned lines in the closure of a request about
+def _load_closure(wires: list[str], subject_tid: bytes) -> Bundle:
+    """The tokens of the scanned wires in the closure of a request about
     ``subject_tid`` (:func:`~vouchsafe.resolution._request_closure`), decoded
-    in bundle order; a line that fails to decode is left out, with no
+    in bundle order; a wire that fails to decode is left out, with no
     diagnostic."""
-    wires, records = scanned
     found: list[Token] = []
-    for i in _request_closure(records, subject_tid):
+    for wire in _request_closure(wires, subject_tid):
         try:
-            found.append(decode(wires[i]))
+            found.append(decode(wire))
         except DecodeError:
             pass
     return Bundle(tokens=TokenSet(found))

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, _VOUCH, Token, ValidityReport
+from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, _VOUCH, Token, ValidityReport, _links
 
 
 class TokenSet:
@@ -241,23 +241,24 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
                 object.__setattr__(t, "_validity", report)
 
 
-def _request_closure(records: list[tuple], subject_tid: bytes) -> list[int]:
-    """The positions, in order, of the records (:func:`~vouchsafe.tokens._links`)
-    that a request about ``subject_tid`` can depend on.
+def _request_closure(wires: list[str], subject_tid: bytes) -> list[str]:
+    """The wires, in order, that a request about ``subject_tid`` can depend
+    on, read from their :func:`~vouchsafe.tokens._links` records; a wire
+    with no record is never taken.
 
-    Starting from the first record with the subject's tid, it takes every
+    Starting from the first wire with the subject's tid, it takes every
     vouch whose ``vch_sum`` is the hex tid of a statement already taken, and
     for each statement taken every burn whose ``burns`` is its issuer and
     every revocation whose (issuer, ``revokes``) is its (issuer, jti).  Each
-    index entry is consumed once, so the work is linear in the records.
+    index entry is consumed once, so the work is linear in the wires.
 
-    Some records may be of lines that later fail decoding or the clock
-    filter.  Let W be the bundle's decodable, clock-filtered tokens and C
-    this rule applied to W alone.  Every token of W has a record with the
-    same links, and the rule only grows with its input, so the taken lines
-    that survive decoding and the clock filter are a set S with C inside S
-    and S inside W.  Verifying and resolving any such S gives every request
-    about this subject the verdict, witness and path listing of W:
+    Some taken wires may later fail decoding or the clock filter.  Let W be
+    the bundle's decodable, clock-filtered tokens and C this rule applied to
+    W alone.  Every token of W has a record with the same links, and the
+    rule only grows with its input, so the taken wires that survive decoding
+    and the clock filter are a set S with C inside S and S inside W.
+    Verifying and resolving any such S gives every request about this
+    subject the verdict, witness and path listing of W:
 
     * a statement's clean-set membership depends only on the statement
       itself, its issuer's burns and its own revocations, all in C with it;
@@ -270,11 +271,12 @@ def _request_closure(records: list[tuple], subject_tid: bytes) -> list[int]:
       walk, and every burn or revocation of W that bears on a statement of
       C is in C.
     """
+    records = {i: record for i, wire in enumerate(wires) if (record := _links(wire)) is not None}
     vouchers: dict[str, list[int]] = {}
     burns: dict[str, list[int]] = {}
     revocations: dict[tuple[str, str], list[int]] = {}
     start = None
-    for i, (tid, kind, iss, _, link) in enumerate(records):
+    for i, (tid, kind, iss, _, link) in records.items():
         if kind is _VOUCH:
             vouchers.setdefault(link, []).append(i)
         elif kind is _BURN:
@@ -296,7 +298,7 @@ def _request_closure(records: list[tuple], subject_tid: bytes) -> list[int]:
             if j not in taken:
                 taken.add(j)
                 queue.append(j)
-    return sorted(taken)
+    return [wires[i] for i in sorted(taken)]
 
 
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:

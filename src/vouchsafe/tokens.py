@@ -326,13 +326,13 @@ def _decode_unseen(wire: str) -> Token:
 
 
 # Each kind by its wire value, with the claim that links it into a request's
-# closure (resolution._request_closure).
+# closure; only resolution._request_closure reads the records of _links.
 _KIND_LINKS = {k.value: (k, claim) for k, claim in
                ((_ATTEST, None), (_VOUCH, "vch_sum"), (_REVOKE, "revokes"), (_BURN, "burns"))}
 
 
 def _links(wire: str) -> tuple[bytes, TokenKind, str, str, str | None] | None:
-    """What a request's closure reads of a wire, from its payload segment
+    """The record a request's closure reads of a wire, from its payload
     alone: ``(tid, kind, iss, jti, link)``, ``link`` being the claim that
     ``_KIND_LINKS`` names for the kind.  None when :func:`decode` is sure to
     fail; a wire with a record may still fail it, as its header and

@@ -224,6 +224,7 @@ def input_files() -> dict[str, bytes]:
         "shared-jti.jsonl": "".join(x + "\n" for x in shared_jti_lines()).encode(),
         "valid.jwt": (w["s"] + "\n").encode(),
         "invalid.jwt": (w["bad-key"] + "\n").encode(),
+        "empty.jwt": b"",
         "line-breaks.jsonl": line_break_bytes(w),
         **second_files(w),
         **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},

@@ -228,10 +228,16 @@ def _non_canonical(rng: random.Random, tid_hex: str) -> str:
 def _with_non_canonical_vouches(rng: random.Random, shared_ids: bool = False):
     """An unfiltered random set (as handed to ``resolve`` directly) holding an
     attest, and apart from it 1-3 vouches whose ``vch_sum`` spells the tid of
-    one of its tokens, of any kind, non-canonically."""
+    one of its tokens, of any kind, non-canonically, and an attest carrying a
+    ``vch_iss`` whose (``vch_iss``, ``sub``) names one of its tokens: an
+    attest is no vouch, so it yields no near-miss."""
     tokens = generators.random_token_set(rng, shared_ids=shared_ids)
     tokens.append(generators.craft(rng, generators.POOL[0][1].urn, oracles.ATTEST))
-    crafted = []
+    named = rng.choice(tokens)
+    issuer = rng.choice([ident.urn for _, ident in generators.POOL if ident.urn != named.claims.iss])
+    crafted = [generators.craft(
+        rng, issuer, oracles.ATTEST, jti=named.claims.jti, vch_iss=named.claims.iss,
+    )]
     for _ in range(rng.randint(1, 3)):
         subject = rng.choice(tokens)
         _, ident = generators.POOL[rng.randrange(len(generators.POOL))]
