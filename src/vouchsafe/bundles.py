@@ -24,7 +24,7 @@ from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
 from .resolution import TokenSet, _request_closure
-from .tokens import _STATEMENT_KINDS, DecodeError, Token, _live, decode
+from .tokens import _STATEMENT_KINDS, Claims, DecodeError, Token, _live, decode
 
 
 class TrustConfigError(ValueError):
@@ -135,11 +135,16 @@ def _load_closure(wires: list[str], subject_tid: bytes) -> Bundle:
     return Bundle(tokens=TokenSet(found))
 
 
+def _expired(c: Claims, now: int) -> bool:
+    """Whether ``now`` is at or past ``c.exp``, where RFC 7519 (4.1.4) drops a JWT."""
+    return c.exp is not None and c.exp <= now
+
+
 def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
     """Drop statements outside their declared validity window, if a clock is given.
 
     Without ``now`` this is the identity function.  With it, attest and vouch
-    tokens whose ``exp`` has passed or whose ``nbf`` has not arrived are
+    tokens whose ``exp`` is not after ``now`` or whose ``nbf`` is after it are
     removed before resolution.  Revocations and burns always stay, whatever
     their ``exp``/``nbf``: dropping one would resurrect what it retracted.
     """
@@ -149,7 +154,7 @@ def temporal_filter(bundle: Bundle, now: int | None = None) -> Bundle:
         t
         for t in bundle.tokens
         if (c := t.claims).kind not in _STATEMENT_KINDS
-        or ((c.exp is None or c.exp > now) and (c.nbf is None or c.nbf <= now))
+        or (not _expired(c, now) and (c.nbf is None or c.nbf <= now))
     ])
     return Bundle(tokens=kept, diagnostics=list(bundle.diagnostics))
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from .bundles import (
     Bundle,
     TrustConfigError,
+    _expired,
     _load_closure,
     _scan_bundle,
     load_bundle,
@@ -238,8 +239,7 @@ def _fates(bundle: Bundle, filtered: Bundle, clean: CleanSet, now: int | None) -
         c = token.claims
         entry = {"tid": token.tid_hex, "kind": c.kind.value}
         if token.tid not in filtered.tokens:  # so --now was given
-            expired = c.exp is not None and c.exp <= now
-            entry["reason"] = "EXPIRED" if expired else "NOT_YET_VALID"
+            entry["reason"] = "EXPIRED" if _expired(c, now) else "NOT_YET_VALID"
         elif not token.validity.ok:
             entry["reason"] = "INVALID"
             entry["detail"] = sorted(token.validity.reasons)

@@ -78,6 +78,13 @@ class Decision:
     depth_limited: bool = False
 
 
+# A REJECT carries no witness, so each one evaluate returns is built once and
+# shared, indexed [rooted][depth_limited]; compare decisions with ==.
+_REJECTS = tuple(tuple(Decision(Verdict.REJECT, reason=r, depth_limited=d) for d in (False, True))
+                 for r in (RejectReason.NO_ROOTED_PATH, RejectReason.SCOPE_INSUFFICIENT))
+_NOT_IN_CLEAN_SET = Decision(Verdict.REJECT, reason=RejectReason.SUBJECT_NOT_IN_CLEAN_SET)
+
+
 @dataclass(frozen=True)
 class PathReport:
     """Bounded enumeration of rooted paths to a subject, for audit queries."""
@@ -177,7 +184,7 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
     graph = clean.graph
     subject = graph.nodes.get(request.subject_tid)
     if subject is None:
-        return Decision(verdict=Verdict.REJECT, reason=RejectReason.SUBJECT_NOT_IN_CLEAN_SET)
+        return _NOT_IN_CLEAN_SET
 
     required = request.required
     reached, depth_limited = _walk(graph, subject.tid, required, max_depth)
@@ -207,8 +214,7 @@ def evaluate(clean: CleanSet, request: Request, max_depth: int = DEFAULT_MAX_DEP
                 witness = Witness(path, root.root_scope.intersect(scope), root)
                 return Decision(verdict=Verdict.ACCEPT, witness=witness)
             rooted = True
-    reason = RejectReason.SCOPE_INSUFFICIENT if rooted else RejectReason.NO_ROOTED_PATH
-    return Decision(verdict=Verdict.REJECT, reason=reason, depth_limited=depth_limited)
+    return _REJECTS[rooted][depth_limited]
 
 
 def enumerate_paths(

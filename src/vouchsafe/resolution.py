@@ -170,11 +170,11 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
     ``cryptography``'s Ed25519 verify holds the GIL, so threads cannot help;
     instead one child is forked per spare CPU (at most one per
     ``_FORK_MIN_TOKENS`` unverified tokens), each verifies a contiguous slice
-    while this process verifies the first, and a child's reports are stored
-    only if its pipe delivered one complete pickle with one report per token
-    of its slice.  Any other slice is left unverified, for the caller's serial
-    pass.  Nothing is forked without ``os.fork``, on one usable CPU, while
-    another thread runs (it could hold a lock the child would need), or
+    while this process verifies the first.  A child's pipe holds its whole
+    slice's reports or a stream that fails to load; each report loaded is
+    stored on its own token, and the other tokens are left to the caller's
+    serial pass.  Nothing is forked without ``os.fork``, on one usable CPU,
+    while another thread runs (it could hold a lock the child would need), or
     unless SIGCHLD has its default action (when ignored, or handled by Python
     code that may reap, a child's pid could be reused before it is killed).
     """
@@ -236,9 +236,8 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
             reports = pickle.loads(data)
         except (pickle.UnpicklingError, EOFError):  # cut short: no final STOP opcode
             continue
-        if len(reports) == len(part):
-            for t, report in zip(part, reports):
-                object.__setattr__(t, "_validity", report)
+        for t, report in zip(part, reports):
+            object.__setattr__(t, "_validity", report)
 
 
 def _request_closure(wires: list[str], subject_tid: bytes) -> list[str]:

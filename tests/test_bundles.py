@@ -349,6 +349,7 @@ class TestTemporalFilter:
         t = issue_attest(kp, ident, exp=100)
         bundle = load_bundle([bundle_writer("b.jsonl", [t])])
         assert len(temporal_filter(bundle, 200).tokens) == 0
+        assert len(temporal_filter(bundle, 100).tokens) == 0  # exp == now: expired
         assert len(temporal_filter(bundle, 99).tokens) == 1
 
     def test_not_yet_valid_dropped(self, alice, bundle_writer):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -314,6 +315,55 @@ class TestEvaluate:
                 d = evaluate(clean_of(shuffled), req(subject, required, *generators.as_principals(roots)))
                 assert d.verdict == base.verdict
                 assert [t.tid for t in d.witness.path] == [t.tid for t in base.witness.path]
+
+
+class TestSharedRejects:
+    """A REJECT carries no witness, so every one with the same reason and
+    depth flag is one shared, frozen Decision; callers compare with ==."""
+
+    def _pairs(self, alice, root, mallory):
+        """Per (reason, depth_limited), two different requests that give it."""
+        kp_a, ident_a = alice
+        kp_r, ident_r = root
+        kp_m, ident_m = mallory
+        a = issue_attest(kp_a, ident_a, purpose="read")
+        lone = issue_attest(kp_m, ident_m)
+        v = issue_vouch(kp_r, ident_r, a, purpose="read")
+        x = issue_attest(kp_r, ident_r, purpose="read")  # rooted itself, with a voucher
+        vx = issue_vouch(kp_m, ident_m, x)
+        clean = clean_of([a, lone, v, x, vx])
+        r = TrustedPrincipal(ident_r.urn, UNCONSTRAINED)
+
+        def ask(subject, required, **kw):
+            return evaluate(clean, req(subject, required, r), **kw)
+
+        return {
+            (RejectReason.SUBJECT_NOT_IN_CLEAN_SET, False): (ask(b"\x98" * 32, set()), ask(b"\x99" * 32, {"read"})),
+            (RejectReason.NO_ROOTED_PATH, False): (ask(lone, set()), ask(lone, {"read"})),
+            (RejectReason.SCOPE_INSUFFICIENT, False): (ask(a, {"write"}), ask(a, {"read", "write"})),
+            (RejectReason.NO_ROOTED_PATH, True): (ask(a, set(), max_depth=0), ask(a, {"write"}, max_depth=0)),
+            (RejectReason.SCOPE_INSUFFICIENT, True): (ask(x, {"write"}, max_depth=0), ask(x, {"admin"}, max_depth=0)),
+        }
+
+    def test_same_reason_and_depth_flag_is_one_object(self, alice, root, mallory):
+        for (reason, limited), (d1, d2) in self._pairs(alice, root, mallory).items():
+            assert (d1.verdict, d1.reason, d1.depth_limited, d1.witness) == (Verdict.REJECT, reason, limited, None)
+            assert d1 is d2, (reason, limited)
+
+    def test_shared_reject_is_frozen(self, alice, root, mallory):
+        for d, _ in self._pairs(alice, root, mallory).values():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.reason = RejectReason.SCOPE_INSUFFICIENT
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.depth_limited = not d.depth_limited
+
+    def test_replace_returns_new_decision(self, alice, root, mallory):
+        shared, _ = self._pairs(alice, root, mallory)[RejectReason.NO_ROOTED_PATH, False]
+        changed = dataclasses.replace(shared, depth_limited=True, reason=RejectReason.SCOPE_INSUFFICIENT)
+        assert changed is not shared and changed != shared
+        assert (shared.reason, shared.depth_limited) == (RejectReason.NO_ROOTED_PATH, False)
+        again, _ = self._pairs(alice, root, mallory)[RejectReason.NO_ROOTED_PATH, False]
+        assert again is shared
 
 
 class TestGraphReuse:
