@@ -210,6 +210,14 @@ def line_break_bytes(w: dict[str, str]) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
+def crlf_files(w: dict[str, str]) -> dict[str, bytes]:
+    """s's chain to root id0 saved with Windows line endings: s, v1 ended by
+    a lone carriage return, a JSON-quoted v0 and a garbage line; and a .jwt
+    holding one wire and a CRLF."""
+    lines = [w["s"] + "\r\n", w["v1"] + "\r", json.dumps(w["v0"]) + "\r\n", "garbage\r\n"]
+    return {"crlf.jsonl": "".join(lines).encode(), "crlf.jwt": (w["lonely"] + "\r\n").encode()}
+
+
 def input_files() -> dict[str, bytes]:
     """Every input file's bytes, by its name in this directory."""
     w = bundle_lines()
@@ -227,6 +235,7 @@ def input_files() -> dict[str, bytes]:
         "empty.jwt": b"",
         "line-breaks.jsonl": line_break_bytes(w),
         **second_files(w),
+        **crlf_files(w),
         **{name: (json.dumps(roots, indent=2) + "\n").encode() for name, roots in trust.items()},
     }
 
