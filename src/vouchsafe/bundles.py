@@ -3,8 +3,11 @@
 Bundles need no signing or wrapper metadata: every token authenticates
 itself, so a bundle is just lines of compact JWTs (``.jwt`` files hold a
 single token).  Unparseable lines, non-UTF-8 ones too, become diagnostics
-instead of aborting the load; adversarial bundles are expected input.  To
-decide one request, the same lines can instead be scanned for their wires
+instead of aborting the load; adversarial bundles are expected input.  A
+reload while an earlier Bundle is held parses only the files whose bytes
+changed: each file is read once and hashed, and one with the name and
+SHA-256 of a file that Bundle came from reuses its Tokens and diagnostics.
+To decide one request, the same lines can instead be scanned for their wires
 alone, and only those in the request's closure decoded.
 
 Temporal filtering is application policy layered in front of resolution: it
@@ -15,10 +18,11 @@ time.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
@@ -40,10 +44,24 @@ class BundleDiagnostic:
     code: str
 
 
+class _File:
+    """One source's Tokens in line order, repeats included, and diagnostics."""
+
+    __slots__ = ("tokens", "diagnostics", "__weakref__")
+
+    def __init__(self, tokens: tuple[Token, ...], diagnostics: tuple[BundleDiagnostic, ...]) -> None:
+        self.tokens, self.diagnostics = tokens, diagnostics
+
+
 @dataclass
 class Bundle:
     tokens: TokenSet = field(default_factory=TokenSet)
     diagnostics: list[BundleDiagnostic] = field(default_factory=list)
+    _files: tuple[_File, ...] = field(default=(), repr=False, compare=False)
+
+
+# (path as named, SHA-256 of its bytes) -> their _File, while a Bundle holds it
+_files: weakref.WeakValueDictionary[tuple[str, bytes], _File] = weakref.WeakValueDictionary()
 
 
 def load_bundle(sources: list[str | Path]) -> Bundle:
@@ -53,39 +71,53 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     Exact duplicates (same wire) collapse to one token.  A line holding bytes
     that are not UTF-8 becomes a ``not-utf-8`` diagnostic.
 
-    A line that is the exact wire of a Token still held from an earlier load
-    costs one lookup: it was checked and decoded then.
+    Each file is read once and hashed; one with the name and SHA-256 of a
+    file of a Bundle still held costs only that.  In a file read anew, a line
+    that is the exact wire of a Token still held costs one lookup: it was
+    checked and decoded then.
     """
+    files = []
+    for path in map(Path, sources):
+        name, single = str(path), path.suffix == ".jwt"
+        data = path.read_bytes()
+        key = (name, hashlib.sha256(data).digest())
+        file = _files.get(key)
+        if file is None:
+            text = _text(data)
+            del data  # neither the bytes once decoded nor the text once split
+            lines = [text] if single else text.splitlines()
+            del text  # is held while the lines are parsed
+            file = _files[key] = _parse(name, single, lines)
+        files.append(file)
+    tokens = TokenSet(t for f in files for t in f.tokens)
+    return Bundle(tokens, [d for f in files for d in f.diagnostics], tuple(files))
+
+
+def _parse(name: str, single: bool, lines: list[str]) -> _File:
+    """The Tokens and diagnostics of one source's lines."""
     found: list[Token] = []
     diagnostics: list[BundleDiagnostic] = []
-    for name, single, lines in _source_lines(sources):
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            token = _live.get(line)
-            if token is None:
-                wire = _unwrap(diagnostics, name, lineno, line, single)
-                if wire is None:
-                    continue
-                try:
-                    token = decode(wire)
-                except DecodeError as exc:
-                    diagnostics.append(BundleDiagnostic(source=name, line=lineno, code=f"decode: {exc}"))
-                    continue
-            found.append(token)
-    return Bundle(tokens=TokenSet(found), diagnostics=diagnostics)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        token = _live.get(line)
+        if token is None:
+            wire = _unwrap(diagnostics, name, lineno, line, single)
+            if wire is None:
+                continue
+            try:
+                token = decode(wire)
+            except DecodeError as exc:
+                diagnostics.append(BundleDiagnostic(source=name, line=lineno, code=f"decode: {exc}"))
+                continue
+        found.append(token)
+    return _File(tuple(found), tuple(diagnostics))
 
 
-def _source_lines(sources: list[str | Path]) -> Iterator[tuple[str, bool, list[str]]]:
-    """Each source's name, whether it is a single-token ``.jwt`` file, and its
-    lines as read (a ``.jwt`` file's whole text is one line)."""
-    for source in sources:
-        path = Path(source)
-        single = path.suffix == ".jwt"
-        # Bytes that are not UTF-8 become lone surrogates, which _unwrap flags.
-        text = path.read_text(encoding="utf-8", errors="surrogateescape")
-        lines = [text] if single else text.splitlines()
-        del text  # held while the lines are read, it would double the memory they take
-        yield str(path), single, lines
+def _text(data: bytes) -> str:
+    """A file's bytes decoded as by ``Path.read_text``: bytes that are not UTF-8
+    as lone surrogates (which _unwrap flags), ``\\r\\n`` and ``\\r`` as ``\\n``."""
+    text = data.decode("utf-8", "surrogateescape")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _unwrap(diagnostics: list[BundleDiagnostic], source: str, lineno: int, line: str, single: bool) -> str | None:
@@ -113,12 +145,14 @@ def _scan_bundle(sources: list[str | Path]) -> list[str]:
     no diagnostic is kept.
     """
     unused: list[BundleDiagnostic] = []
-    return [
-        wire
-        for name, single, lines in _source_lines(sources)
-        for lineno, line in enumerate(lines, start=1)
-        if (wire := _unwrap(unused, name, lineno, line.strip(), single)) is not None
-    ]
+    wires: list[str] = []
+    for path in map(Path, sources):
+        single = path.suffix == ".jwt"
+        text = _text(path.read_bytes())
+        lines = [text] if single else text.splitlines()
+        del text
+        wires += [wire for line in lines if (wire := _unwrap(unused, "", 0, line.strip(), single)) is not None]
+    return wires
 
 
 def _load_closure(wires: list[str], subject_tid: bytes) -> Bundle:

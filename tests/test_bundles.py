@@ -1,12 +1,15 @@
+import dataclasses
 import gc
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import vouchsafe.bundles
 import vouchsafe.resolution
 import vouchsafe.tokens
 from vouchsafe import (
@@ -336,6 +339,93 @@ class TestReingest:
             for line in a_lines + b_lines
         )
         assert _outcome(_stages([a, b], now)) == warm_outcome
+
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           edit=st.sampled_from(["none", "append", "flip", "truncate", "empty", "crlf"]))
+    @settings(max_examples=30, deadline=None)
+    def test_memo_equals_cold_load(self, seed, edit, tmp_path_factory):
+        """While a load of A and B is held, A is edited and C saved with B's
+        bytes; every stage of a load of A, B and C equals a load of the same
+        files with no Token alive and no file remembered."""
+        rng = random.Random(seed)
+        now = 1000
+        tmp = tmp_path_factory.mktemp("memo")
+        a, b, c = tmp / "a.jsonl", tmp / "b.jsonl", tmp / "c.jsonl"
+        a_lines = _hostile_lines(rng, now)
+        a.write_bytes(b"".join(line + b"\n" for line in a_lines))
+        b.write_bytes(b"".join(line + b"\n" for line in _hostile_lines(rng, now)))
+        gc.collect()  # the generators' own Tokens are gone
+
+        held = load_bundle([a, b])
+        a.write_bytes(_edited(rng, edit, a_lines))
+        c.write_bytes(b.read_bytes())
+        warm = _stages([a, b, c], now)
+        diagnostics = warm[0].diagnostics
+        assert [d for d in diagnostics if d.source == str(c)] == [
+            dataclasses.replace(d, source=str(c)) for d in diagnostics if d.source == str(b)
+        ]
+        warm_outcome = _outcome(warm)
+        del held, warm, diagnostics
+        gc.collect()
+        assert not vouchsafe.bundles._files
+        assert all(
+            vouchsafe.tokens._live.get(line.decode("utf-8", "replace").strip('"')) is None
+            for path in (a, b) for line in path.read_bytes().splitlines()
+        )
+        assert _outcome(_stages([a, b, c], now)) == warm_outcome
+
+    def test_each_source_is_read_once(self, tmp_path, monkeypatch):
+        """One read per file and load: the digest a file is remembered by is
+        that of the bytes parsed, even when a writer replaces the file during
+        the load."""
+        rng = random.Random(23)
+        wires = generators.random_wire_mix(rng, 6)
+        a, b, c = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jwt"
+        a.write_text("\n".join(wires[:3]) + "\n")
+        b.write_text("\n".join(wires[3:5]) + "\ngarbage\n")
+        c.write_text(wires[5])
+        reads = []
+        real = Path.read_bytes
+
+        def racing(path):
+            data = real(path)
+            reads.append(path.name)
+            if path == b:  # a writer replaces b once its bytes are read
+                path.write_bytes(data.replace(b"garbage", b"a.b.c"))
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", racing)
+        held = load_bundle([a, b, c])
+        assert sorted(reads) == ["a.jsonl", "b.jsonl", "c.jwt"]
+        assert [d.code for d in held.diagnostics] == ["decode: expected 3 dot-separated segments, got 1"]
+        reads.clear()
+        again = load_bundle([a, b, c, a])
+        assert sorted(reads) == ["a.jsonl", "a.jsonl", "b.jsonl", "c.jwt"]
+        assert [d.code for d in again.diagnostics] != [d.code for d in held.diagnostics]
+        assert [t.tid for t in again.tokens] == [t.tid for t in held.tokens]
+
+
+def _edited(rng, edit, lines):
+    """A file of ``lines`` after one edit: none, a new wire appended, one
+    wire character changed in place, cut at a random byte, emptied, or
+    saved with CRLF line endings."""
+    lines = list(lines)
+    if edit == "append":
+        lines.append(generators.random_wire_mix(rng, 1)[0].encode())
+    elif edit == "flip":
+        i = rng.choice([i for i, line in enumerate(lines) if line.count(b".") == 2 and line[:1].isalnum()])
+        j = rng.randrange(len(lines[i]))
+        while not chr(lines[i][j]).isalnum():
+            j = rng.randrange(len(lines[i]))
+        other = rng.choice([ch for ch in b"AQgw" if ch != lines[i][j]])
+        lines[i] = lines[i][:j] + bytes([other]) + lines[i][j + 1:]
+    data = b"".join(line + b"\n" for line in lines)
+    if edit == "truncate":
+        return data[:rng.randrange(len(data))]
+    if edit == "empty":
+        return b""
+    return data.replace(b"\n", b"\r\n") if edit == "crlf" else data
 
 
 class TestTemporalFilter:
