@@ -340,7 +340,6 @@ class TestReingest:
         )
         assert _outcome(_stages([a, b], now)) == warm_outcome
 
-
     @given(seed=st.integers(0, 2**32 - 1),
            edit=st.sampled_from(["none", "append", "flip", "truncate", "empty", "crlf"]))
     @settings(max_examples=30, deadline=None)
