@@ -76,7 +76,7 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     that is the exact wire of a Token still held costs one lookup: it was
     checked and decoded then.
     """
-    files = []
+    files: list[_File] = []
     for path in map(Path, sources):
         name, single = str(path), path.suffix == ".jwt"
         data = path.read_bytes()
