@@ -60,7 +60,7 @@ try:
 except Exception as exc:
     print("\ntampered decode failed:", type(exc).__name__)
 
-# And decoding the authentic wire reproduces everything bit-for-bit.
+# And decoding the authentic wire anew reproduces everything bit-for-bit.
 again = decode(cert.wire)
-assert again.claims == cert.claims and again.tid == cert.tid
+assert again is not cert and again.claims == cert.claims and again.tid == cert.tid
 print("round trip exact:", True)

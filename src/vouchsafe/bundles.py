@@ -3,12 +3,16 @@
 Bundles need no signing or wrapper metadata: every token authenticates
 itself, so a bundle is just lines of compact JWTs (``.jwt`` files hold a
 single token).  Unparseable lines, non-UTF-8 ones too, become diagnostics
-instead of aborting the load; adversarial bundles are expected input.  A
-reload while an earlier Bundle is held parses only the files whose bytes
-changed: each file is read once and hashed, and one with the name and
-SHA-256 of a file that Bundle came from reuses its Tokens and diagnostics.
-To decide one request, the same lines can instead be scanned for their wires
-alone, and only those in the request's closure decoded.
+instead of aborting the load; adversarial bundles are expected input.
+
+This module alone decides which lines become Tokens and which Tokens are
+shared; :func:`~vouchsafe.tokens.decode` always parses.  A reload while an
+earlier Bundle is held parses only the files whose bytes changed: each file
+is read once and hashed, and one with the name and SHA-256 of a file that
+Bundle came from reuses its Tokens and diagnostics.  In a file read anew, a
+wire of a Token still held, from any file, gives back that Token.  To decide
+one request, the same lines can instead be scanned for their wires alone,
+and only those in the request's closure decoded.
 
 Temporal filtering is application policy layered in front of resolution: it
 removes only attests and vouches, so it never adds authority, and when no
@@ -27,8 +31,8 @@ from pathlib import Path
 from .evaluation import TrustedPrincipal
 from .graph import UNCONSTRAINED, Scope
 from .identity import IdentityError, parse_identity
-from .resolution import TokenSet, _request_closure
-from .tokens import _STATEMENT_KINDS, Claims, DecodeError, Token, _live, decode
+from .resolution import TokenSet
+from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, _VOUCH, Claims, DecodeError, Token, _links, decode
 
 
 class TrustConfigError(ValueError):
@@ -62,6 +66,8 @@ class Bundle:
 
 # (path as named, SHA-256 of its bytes) -> their _File, while a Bundle holds it
 _files: weakref.WeakValueDictionary[tuple[str, bytes], _File] = weakref.WeakValueDictionary()
+# Exact wire -> the Token load_bundle built for it, while any caller holds it
+_live: weakref.WeakValueDictionary[str, Token] = weakref.WeakValueDictionary()
 
 
 def load_bundle(sources: list[str | Path]) -> Bundle:
@@ -72,9 +78,10 @@ def load_bundle(sources: list[str | Path]) -> Bundle:
     that are not UTF-8 becomes a ``not-utf-8`` diagnostic.
 
     Each file is read once and hashed; one with the name and SHA-256 of a
-    file of a Bundle still held costs only that.  In a file read anew, a line
-    that is the exact wire of a Token still held costs one lookup: it was
-    checked and decoded then.
+    file of a Bundle still held costs only that.  In a file read anew, a
+    line whose wire, quoted or not, is that of a Token still held, from this
+    or any other file, gives that Token, verify report included, without a
+    second decode.
     """
     files: list[_File] = []
     for path in map(Path, sources):
@@ -98,14 +105,13 @@ def _parse(name: str, single: bool, lines: list[str]) -> _File:
     found: list[Token] = []
     diagnostics: list[BundleDiagnostic] = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        token = _live.get(line)
+        wire = _unwrap(diagnostics, name, lineno, line.strip(), single)
+        if wire is None:
+            continue
+        token = _live.get(wire)
         if token is None:
-            wire = _unwrap(diagnostics, name, lineno, line, single)
-            if wire is None:
-                continue
             try:
-                token = decode(wire)
+                token = _live[wire] = decode(wire)
             except DecodeError as exc:
                 diagnostics.append(BundleDiagnostic(source=name, line=lineno, code=f"decode: {exc}"))
                 continue
@@ -156,14 +162,68 @@ def _scan_bundle(sources: list[str | Path]) -> list[str]:
 
 
 def _load_closure(wires: list[str], subject_tid: bytes) -> Bundle:
-    """The tokens of the scanned wires in the closure of a request about
-    ``subject_tid`` (:func:`~vouchsafe.resolution._request_closure`), decoded
-    in bundle order; a wire that fails to decode is left out, with no
-    diagnostic."""
+    """The tokens of the scanned wires that a request about ``subject_tid``
+    can depend on, decoded in bundle order.  The wires are chosen by their
+    :func:`~vouchsafe.tokens._links` records; a wire with no record is never
+    taken, and one taken that fails to decode is left out, with no
+    diagnostic.
+
+    Starting from the first wire with the subject's tid, it takes every
+    vouch whose ``vch_sum`` is the hex tid of a statement already taken, and
+    for each statement taken every burn whose ``burns`` is its issuer and
+    every revocation whose (issuer, ``revokes``) is its (issuer, jti).  Each
+    index entry is consumed once, so the work is linear in the wires.
+
+    Some taken wires may later fail decoding or the clock filter.  Let W be
+    the bundle's decodable, clock-filtered tokens and C this rule applied to
+    W alone.  Every token of W has a record with the same links, and the
+    rule only grows with its input, so the taken wires that survive decoding
+    and the clock filter are a set S with C inside S and S inside W.
+    Verifying and resolving any such S gives every request about this
+    subject the verdict, witness and path listing of W:
+
+    * a statement's clean-set membership depends only on the statement
+      itself, its issuer's burns and its own revocations, all in C with it;
+    * a clean edge requires ``vch_sum`` to be its subject's hex tid, so
+      every voucher in W of a statement in C is in C;
+    * so every node that a backward walk from the subject reaches, every
+      edge between such nodes, every ``reverse_edges`` entry that decides
+      ``depth_limited``, and the subject's own membership are the same in
+      the graphs of S and W: a token of S outside C is reached by no such
+      walk, and every burn or revocation of W that bears on a statement of
+      C is in C.
+    """
+    records = {i: record for i, wire in enumerate(wires) if (record := _links(wire)) is not None}
+    vouchers: dict[str, list[int]] = {}
+    burns: dict[str, list[int]] = {}
+    revocations: dict[tuple[str, str], list[int]] = {}
+    start = None
+    for i, (tid, kind, iss, _, link) in records.items():
+        if kind is _VOUCH:
+            vouchers.setdefault(link, []).append(i)
+        elif kind is _BURN:
+            burns.setdefault(link, []).append(i)
+        elif kind is _REVOKE:
+            revocations.setdefault((iss, link), []).append(i)
+        if start is None and tid == subject_tid:
+            start = i
+    if start is None:
+        return Bundle()
+    taken = {start}
+    queue = [start]
+    # Positions appended while iterating are visited too.
+    for i in queue:
+        tid, kind, iss, jti, _ = records[i]
+        if kind not in _STATEMENT_KINDS:
+            continue
+        for j in (*vouchers.pop(tid.hex(), ()), *burns.pop(iss, ()), *revocations.pop((iss, jti), ())):
+            if j not in taken:
+                taken.add(j)
+                queue.append(j)
     found: list[Token] = []
-    for wire in _request_closure(wires, subject_tid):
+    for i in sorted(taken):
         try:
-            found.append(decode(wire))
+            found.append(decode(wires[i]))
         except DecodeError:
             pass
     return Bundle(tokens=TokenSet(found))

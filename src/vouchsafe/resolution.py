@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 from .graph import CapabilityGraph, build_graph
-from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, _VOUCH, Token, ValidityReport, _links
+from .tokens import _BURN, _REVOKE, _STATEMENT_KINDS, Token, ValidityReport
 
 
 class TokenSet:
@@ -240,73 +240,13 @@ def _verify_on_spare_cpus(tokens: Iterable[Token]) -> None:
             object.__setattr__(t, "_validity", report)
 
 
-def _request_closure(wires: list[str], subject_tid: bytes) -> list[str]:
-    """The wires, in order, that a request about ``subject_tid`` can depend
-    on, read from their :func:`~vouchsafe.tokens._links` records; a wire
-    with no record is never taken.
-
-    Starting from the first wire with the subject's tid, it takes every
-    vouch whose ``vch_sum`` is the hex tid of a statement already taken, and
-    for each statement taken every burn whose ``burns`` is its issuer and
-    every revocation whose (issuer, ``revokes``) is its (issuer, jti).  Each
-    index entry is consumed once, so the work is linear in the wires.
-
-    Some taken wires may later fail decoding or the clock filter.  Let W be
-    the bundle's decodable, clock-filtered tokens and C this rule applied to
-    W alone.  Every token of W has a record with the same links, and the
-    rule only grows with its input, so the taken wires that survive decoding
-    and the clock filter are a set S with C inside S and S inside W.
-    Verifying and resolving any such S gives every request about this
-    subject the verdict, witness and path listing of W:
-
-    * a statement's clean-set membership depends only on the statement
-      itself, its issuer's burns and its own revocations, all in C with it;
-    * a clean edge requires ``vch_sum`` to be its subject's hex tid, so
-      every voucher in W of a statement in C is in C;
-    * so every node that a backward walk from the subject reaches, every
-      edge between such nodes, every ``reverse_edges`` entry that decides
-      ``depth_limited``, and the subject's own membership are the same in
-      the graphs of S and W: a token of S outside C is reached by no such
-      walk, and every burn or revocation of W that bears on a statement of
-      C is in C.
-    """
-    records = {i: record for i, wire in enumerate(wires) if (record := _links(wire)) is not None}
-    vouchers: dict[str, list[int]] = {}
-    burns: dict[str, list[int]] = {}
-    revocations: dict[tuple[str, str], list[int]] = {}
-    start = None
-    for i, (tid, kind, iss, _, link) in records.items():
-        if kind is _VOUCH:
-            vouchers.setdefault(link, []).append(i)
-        elif kind is _BURN:
-            burns.setdefault(link, []).append(i)
-        elif kind is _REVOKE:
-            revocations.setdefault((iss, link), []).append(i)
-        if start is None and tid == subject_tid:
-            start = i
-    if start is None:
-        return []
-    taken = {start}
-    queue = [start]
-    # Positions appended while iterating are visited too.
-    for i in queue:
-        tid, kind, iss, jti, _ = records[i]
-        if kind not in _STATEMENT_KINDS:
-            continue
-        for j in (*vouchers.pop(tid.hex(), ()), *burns.pop(iss, ()), *revocations.pop((iss, jti), ())):
-            if j not in taken:
-                taken.add(j)
-                queue.append(j)
-    return [wires[i] for i in sorted(taken)]
-
-
 def filter_valid(tokens: TokenSet) -> tuple[TokenSet, list[RejectedToken]]:
     """Keep exactly the tokens whose validity report is all-ok.
 
     Invalid tokens come back as diagnostics; they never influence state.
     Each report is the token's cached :attr:`~vouchsafe.tokens.Token.validity`,
     so a Token is verified once however often it is filtered; and since
-    :func:`~vouchsafe.tokens.decode` returns the same Token for the exact same
+    :func:`~vouchsafe.bundles.load_bundle` gives back the same Token for a
     wire while a caller still holds it, re-filtering a grown bundle verifies
     only its new wires.
 

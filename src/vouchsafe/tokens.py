@@ -17,9 +17,9 @@ the received bytes, so no canonical JSON form is needed anywhere.
 
 ``decode`` checks structural shape only; ``verify`` judges signature validity,
 identity binding, and kind schema, reporting all failures rather than raising.
-Both are pure functions of the wire, so ``decode`` hands back the Token it
-already built for the same wire while that Token is alive, and each Token
-keeps its own verify report (:attr:`Token.validity`).
+Both are pure functions of the wire: ``decode`` parses on every call, and
+each Token keeps its own verify report (:attr:`Token.validity`).  Sharing
+Tokens between readers of one wire is left to the bundle loader.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import functools
 import hashlib
 import json
 import re
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -245,32 +244,16 @@ def _decode_json_object(data: bytes, what: str) -> dict:
 # Shared by every token without extra claims: one less object per decode.
 _NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
-# Every Token decode has built and some caller still holds, by exact wire.
-# Weak values: an entry goes when the last reference to its Token does.
-_live: weakref.WeakValueDictionary[str, Token] = weakref.WeakValueDictionary()
-
 
 def decode(wire: str) -> Token:
-    """Parse compact wire text into a :class:`Token`.
+    """Parse compact wire text into a new :class:`Token`.
 
     Structural checks only: three canonical base64url segments, JSON object
     header and payload, known ``kind``, universal claims present with the
     right types.  No signature, binding, or kind-schema judgment is made
-    (see :func:`verify`).
-
-    While a Token built from this exact wire (same characters) is still
-    referenced anywhere in the process, that same Token is returned, along
-    with the verify report it may already carry; so re-reading a grown
-    bundle while the previous load is held decodes and verifies only the new
-    lines.  Nothing is retained that the caller has dropped, and a one-shot
-    process such as the CLI sees every wire once and gains nothing.
+    (see :func:`verify`).  Each call parses anew, so two decodes of one wire
+    are equal but distinct Tokens.
     """
-    token = _live.get(wire) if isinstance(wire, str) else None
-    return _decode_unseen(wire) if token is None else token
-
-
-def _decode_unseen(wire: str) -> Token:
-    """:func:`decode` for a wire with no live Token: parse it and register the Token."""
     if not isinstance(wire, str) or not wire:
         raise DecodeError("empty wire text")
     parts = wire.split(".")
@@ -314,19 +297,17 @@ def _decode_unseen(wire: str) -> Token:
         exp=payload.get("exp"),
         extra=MappingProxyType(extra) if extra else _NO_EXTRA,
     )
-    token = Token(
+    return Token(
         wire=wire,
         header=MappingProxyType(header),
         claims=claims,
         sig=sig,
         tid=hashlib.sha256(wire.encode("ascii")).digest(),
     )
-    _live[wire] = token
-    return token
 
 
 # Each kind by its wire value, with the claim that links it into a request's
-# closure; only resolution._request_closure reads the records of _links.
+# closure; only bundles._load_closure reads the records of _links.
 _KIND_LINKS = {k.value: (k, claim) for k, claim in
                ((_ATTEST, None), (_VOUCH, "vch_sum"), (_REVOKE, "revokes"), (_BURN, "burns"))}
 

@@ -138,3 +138,52 @@ def test_no_dead_names_in_src():
         if defined not in referenced and defined not in ("__all__", "__version__")
     )
     assert not dead, f"defined but never referenced: {dead}"
+
+
+# The package's modules, each above the ones before it.
+LAYERS = ["identity", "tokens", "graph", "resolution", "evaluation", "bundles", "cli"]
+
+
+def _package_imports(tree: ast.Module):
+    """The package modules a tree imports, anywhere but ``if TYPE_CHECKING:``."""
+    typing_only = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for n in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "vouchsafe":
+                    continue
+                module = module.partition(".")[2]
+            yield from [module.split(".")[0]] if module else (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "vouchsafe":
+                    yield module.split(".")[0] or "__init__"
+
+
+def test_modules_import_only_lower_layers():
+    """Each module imports only modules before it in ``LAYERS``, and only
+    ``bundles`` keeps a module-level weak map: it alone decides which Tokens
+    are shared."""
+    modules = _modules()
+    assert sorted(modules) == sorted(["__init__", *LAYERS])
+    for i, name in enumerate(LAYERS):
+        higher = sorted(set(_package_imports(modules[name])) - set(LAYERS[:i]))
+        assert not higher, f"{name}.py imports {higher}, which are not below it in {LAYERS}"
+    weak_maps = {
+        name
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and "WeakValueDictionary" in ast.unparse(node.value)
+    }
+    assert weak_maps == {"bundles"}

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,26 @@ class TestReingest:
     its new wires: the unchanged ones come back as the same Token objects,
     verify reports included."""
 
+    def test_same_wire_same_token_while_held(self, alice, tmp_path):
+        """A wire held from file A is the same Token in file B, where it is
+        JSON-quoted, and in A after an edit; its entry goes with the Token."""
+        kp, ident = alice
+        wire, other = issue_attest(kp, ident).wire, issue_attest(kp, ident).wire
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(wire + "\n")
+        b.write_text(json.dumps(wire) + "\n")
+        (first,) = load_bundle([a]).tokens
+        assert first.validity.ok
+        (quoted,) = load_bundle([b]).tokens
+        a.write_text(other + "\n" + wire + "\n")
+        edited = list(load_bundle([a]).tokens)
+        assert quoted is first and edited[1] is first and edited[0] is not first
+        held = weakref.ref(first)
+        del first, quoted, edited
+        gc.collect()
+        assert held() is None
+        assert wire not in vouchsafe.bundles._live
+
     @pytest.fixture
     def verified(self, monkeypatch):
         wires = []
@@ -267,17 +288,21 @@ class TestReingest:
         a = generators.random_wire_mix(rng, 12)
         b = generators.random_wire_mix(rng, 8)
         b += a[:3] + b[:2]  # lines already in A, and repeats within B
+        new = sorted(set(b) - set(a))
+        b.append(json.dumps(a[3]))  # and a line of A, JSON-quoted
         gc.collect()  # the generator's own Tokens are gone
         (tmp_path / "a.jsonl").write_text("".join(w + "\n" for w in a))
         (tmp_path / "b.jsonl").write_text("".join(w + "\n" for w in b))
-        return tmp_path / "a.jsonl", tmp_path / "b.jsonl", a, sorted(set(b) - set(a))
+        return tmp_path / "a.jsonl", tmp_path / "b.jsonl", a, new
 
     def test_verify_runs_only_for_new_wires(self, files, verified):
         a_path, b_path, a, new = files
         first = _ingest([a_path])
         assert sorted(verified) == sorted(set(a))
         verified.clear()
-        second = _ingest([a_path, b_path])
+        # B first: of equal wires the set keeps B's Token, so one that the
+        # loader failed to share with A's would be verified here.
+        second = _ingest([b_path, a_path])
         assert sorted(verified) == new
         assert len(second[0].tokens) == len(first[0].tokens) + len(new)
 
@@ -292,13 +317,16 @@ class TestReingest:
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_second_ingest_matches_fresh_verify(self, seed):
+    def test_second_ingest_matches_fresh_verify(self, seed, tmp_path_factory):
         rng = random.Random(seed)
         old = generators.random_wire_mix(rng, rng.randint(1, 8))
         grown = old + generators.random_wire_mix(rng, rng.randint(0, 6))
         rng.shuffle(grown)
-        first_valid, first_rejected = filter_valid(TokenSet(decode(w) for w in old))
-        valid, rejected = filter_valid(TokenSet(decode(w) for w in grown))
+        tmp = tmp_path_factory.mktemp("grown")
+        for name, wires in (("old.jsonl", old), ("grown.jsonl", grown)):
+            (tmp / name).write_text("".join(w + "\n" for w in wires))
+        _, first_valid, first_rejected = _ingest([tmp / "old.jsonl"])
+        _, valid, rejected = _ingest([tmp / "grown.jsonl"])
 
         fresh = {t.tid: verify(t) for t in (decode(w) for w in grown)}
         assert {t.tid for t in valid} == {tid for tid, report in fresh.items() if report.ok}
@@ -335,7 +363,7 @@ class TestReingest:
         del held, warm, by_tid
         gc.collect()
         assert all(
-            vouchsafe.tokens._live.get(line.decode("utf-8", "replace").strip('"')) is None
+            vouchsafe.bundles._live.get(line.decode("utf-8", "replace").strip('"')) is None
             for line in a_lines + b_lines
         )
         assert _outcome(_stages([a, b], now)) == warm_outcome
@@ -369,7 +397,7 @@ class TestReingest:
         gc.collect()
         assert not vouchsafe.bundles._files
         assert all(
-            vouchsafe.tokens._live.get(line.decode("utf-8", "replace").strip('"')) is None
+            vouchsafe.bundles._live.get(line.decode("utf-8", "replace").strip('"')) is None
             for path in (a, b) for line in path.read_bytes().splitlines()
         )
         assert _outcome(_stages([a, b, c], now)) == warm_outcome

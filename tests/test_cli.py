@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import generators
 import oracles
+import vouchsafe.bundles
 import vouchsafe.cli
 import vouchsafe.graph
 import vouchsafe.resolution
@@ -641,15 +642,14 @@ def test_evaluate_verifies_only_the_request_closure(tmp_path, run, monkeypatch):
     trust = write(tmp_path / "trust.json", json.dumps([{"identity": generators.POOL[0][1].urn,
                                                          "scope": "*"}]))
     built, verified = [], []
-    real_decode, real_verify = vouchsafe.tokens._decode_unseen, vouchsafe.tokens.verify
-    monkeypatch.setattr(vouchsafe.tokens, "_decode_unseen", lambda w: built.append(w) or real_decode(w))
+    real_decode, real_verify = vouchsafe.bundles.decode, vouchsafe.tokens.verify
+    monkeypatch.setattr(vouchsafe.bundles, "decode", lambda w: built.append(w) or real_decode(w))
     monkeypatch.setattr(vouchsafe.tokens, "verify", lambda t: verified.append(t.tid) or real_verify(t))
     n = 150
     counts, outputs = [], []
     for size in (n, 2 * n):
         noise = generators.random_wire_mix(random.Random(size), size)
         bundle = write(tmp_path / f"b{size}.jsonl", "".join(w + "\n" for w in noise + chain))
-        gc.collect()  # no Token of the previous run, or its report, is reused
         built.clear()
         verified.clear()
         code, out, _ = run("evaluate", bundle, "--trust", trust, "--subject", subject,

@@ -50,8 +50,11 @@ class TestTokenSet:
     def test_exact_duplicates_collapse(self, alice):
         kp, ident = alice
         t = issue_attest(kp, ident)
-        ts = TokenSet([t, decode(t.wire)])
+        again = decode(t.wire)
+        ts = TokenSet([t, again])
         assert len(ts) == 1
+        (kept,) = ts
+        assert kept is t and again is not t  # the first of equal wires is kept
 
     def test_duplicate_statement_ids_flagged(self, alice):
         kp, ident = alice
